@@ -9,17 +9,16 @@ reduced-form certificate.
 from .field import GaussRational, UniPoly, RatFunc, Ring, QI_RING, RF_RING
 from .linalg import Mat, rref, nullspace, mat_vec
 from .parsing import ParseError, parse_ratfunc, format_ratfunc
-from .factor import irreducible_factors, is_square_ratfunc
+from .factor import irreducible_factors
 from .diffsys import (LinearDiffSystem, SeriesFundamentalMatrix,
                       gauge_transform, singular_points, pick_ordinary_point,
                       series_solution, substitute_power)
 from .constructions import (Id, Sym, Ext, Tensor, Dual, DSum, dimension,
                             apply_group, apply_algebra, parse_construction,
                             format_construction, ConstructionError)
-from .weinorman import (WeiNormanDecomposition, MatrixLieSpan, decompose,
-                        bracket_closure, span_member)
+from .weinorman import WeiNormanDecomposition, decompose
 from .ratsols import (BoundConfig, RationalSolutionBasis, rational_solutions,
-                      log_derivative_rational, constant_coefficient_test)
+                      log_derivative_rational)
 from .reduction import (InvariantSolution, ReductionCertificate,
                         PolySystemExport, VerificationReport, is_reduced,
                         normalize_trace, quadform_from_invariant,

@@ -14,20 +14,19 @@ import argparse
 import json
 import sys as _sys
 
-from .field import GaussRational, RF_RING, Q
+from .field import GaussRational, Q
 from .linalg import Mat
 from .parsing import ParseError, format_ratfunc, format_gauss
 from .diffsys import (LinearDiffSystem, gauge_transform, series_solution,
                       substitute_power, pick_ordinary_point,
                       DEFAULT_SERIES_ORDER)
 from .constructions import (parse_construction, format_construction,
-                            apply_algebra, apply_group, Id, Sym,
-                            ConstructionError)
+                            apply_algebra, apply_group, ConstructionError)
 from .ratsols import BoundConfig, rational_solutions
 from .weinorman import decompose
-from .reduction import (InvariantSolution, is_reduced, build_system_S,
-                        verify_reduction)
-from .gallery import EXAMPLE_NAMES, run_example, load_golden
+from .reduction import (is_reduced, build_system_S, verify_reduction,
+                        _collect_invariants)
+from .gallery import EXAMPLE_NAMES, run_example, load_golden, _fmt_matrix
 
 __all__ = ["main"]
 
@@ -95,10 +94,6 @@ def _parse_rational(text) -> GaussRational:
         return GaussRational(Q(text))
     except (ValueError, ZeroDivisionError) as e:
         raise InputError(f"bad rational {text!r}: {e}") from None
-
-
-def _fmt_matrix(m: Mat, var):
-    return [[format_ratfunc(e, var) for e in row] for row in m.entries]
 
 
 def _emit(report: dict, args, summary: str):
@@ -227,19 +222,11 @@ def _cmd_export_s(args):
     exprs = _parse_constructions(args, default="sym(2,id)")
     cfg = _parse_bounds(args)
     z0 = _parse_rational(args.z0) if args.z0 else pick_ordinary_point(sys)
-    invariants = []
-    warnings = []
-    for e in exprs:
-        B = apply_algebra(e, sys.matrix)
-        basis = rational_solutions(LinearDiffSystem(B, sys.var), cfg)
-        warnings.extend(basis.warnings)
-        for phi in basis.vectors:
-            try:
-                v = tuple(f.eval(z0) for f in phi)
-            except ZeroDivisionError:
-                raise InputError(
-                    f"z0 = {format_gauss(z0)} is a pole of an invariant") from None
-            invariants.append(InvariantSolution(e, tuple(phi), v, z0))
+    try:
+        invariants, warnings = _collect_invariants(sys, exprs, z0, cfg)
+    except ZeroDivisionError:
+        raise InputError(
+            f"z0 = {format_gauss(z0)} is a pole of an invariant") from None
     if not invariants:
         raise MathFailure("no invariants found; nothing to export")
     export = build_system_S(invariants, sys.size, sys.var)

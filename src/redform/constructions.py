@@ -17,13 +17,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .field import Ring
 from .linalg import Mat, _det_cofactor
 
 __all__ = [
     "Id", "Sym", "Ext", "Tensor", "Dual", "DSum",
-    "dimension", "apply_group", "apply_algebra",
-    "sym_monomials", "DualNum", "dual_ring", "dual_matrix", "split_dual_matrix",
+    "dimension", "apply_group", "apply_algebra", "sym_monomials",
     "parse_construction", "format_construction", "ConstructionError",
 ]
 
@@ -316,68 +314,6 @@ def apply_algebra(expr, N: Mat) -> Mat:
         A = apply_algebra(expr.inner, N)
         return _block_diag([A] * expr.copies)
     raise ConstructionError(f"unknown construction node {expr!r}")
-
-
-# ---------------------------------------------------------------------------
-# dual numbers a + eps b with eps^2 = 0, over an arbitrary base ring
-
-
-class DualNum:
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b):
-        self.a = a
-        self.b = b
-
-    def __add__(self, other):
-        return DualNum(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other):
-        return DualNum(self.a - other.a, self.b - other.b)
-
-    def __neg__(self):
-        return DualNum(-self.a, -self.b)
-
-    def __mul__(self, other):
-        return DualNum(self.a * other.a, self.a * other.b + self.b * other.a)
-
-    def __truediv__(self, other):
-        return self * other.inverse()
-
-    def inverse(self):
-        ainv = self.a.inverse()
-        return DualNum(ainv, -(ainv * self.b * ainv))
-
-    def __eq__(self, other):
-        if not isinstance(other, DualNum):
-            return NotImplemented
-        return self.a == other.a and self.b == other.b
-
-    def __hash__(self):
-        return hash((self.a, self.b))
-
-    def __repr__(self):
-        return f"DualNum({self.a!r}, {self.b!r})"
-
-
-def dual_ring(base: Ring) -> Ring:
-    return Ring(DualNum(base.zero, base.zero), DualNum(base.one, base.zero),
-                base.has_division, f"dual({base.name})")
-
-
-def dual_matrix(a: Mat, b: Mat) -> Mat:
-    """Matrix a + eps b over the dual-number ring of a's ring."""
-    if (a.rows, a.cols) != (b.rows, b.cols):
-        raise ValueError("dual matrix parts must share a shape")
-    ring = dual_ring(a.ring)
-    return Mat(ring, [[DualNum(x, y) for x, y in zip(ra, rb)]
-                      for ra, rb in zip(a.entries, b.entries)])
-
-
-def split_dual_matrix(m: Mat, base: Ring):
-    a = Mat(base, [[e.a for e in row] for row in m.entries])
-    b = Mat(base, [[e.b for e in row] for row in m.entries])
-    return a, b
 
 
 # ---------------------------------------------------------------------------

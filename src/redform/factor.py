@@ -7,9 +7,9 @@ from fractions import Fraction
 import sympy
 from sympy.polys.domains import QQ_I
 
-from .field import GaussRational, UniPoly, RatFunc, Q
+from .field import GaussRational, UniPoly, Q
 
-__all__ = ["irreducible_factors", "is_square_ratfunc"]
+__all__ = ["irreducible_factors"]
 
 _X = sympy.symbols("__redform_x")
 
@@ -55,32 +55,3 @@ def irreducible_factors(p: UniPoly):
     out.sort(key=lambda fm: (fm[0].degree, [(str(c.re), str(c.im))
                                             for c in fm[0].coeffs]))
     return out
-
-
-def _poly_sqrt(p: UniPoly):
-    """g with g^2 = p, or None."""
-    if p.is_zero():
-        return UniPoly()
-    if p.degree % 2:
-        return None
-    lead = p.leading().sqrt()
-    if lead is None:
-        return None
-    unit = (p.coeffs[0] if p.degree == 0 else None)
-    factors = irreducible_factors(p)
-    root = UniPoly.const(lead) if p.degree > 0 else None
-    if p.degree == 0:
-        s = unit.sqrt()
-        return None if s is None else UniPoly.const(s)
-    for f, mult in factors:
-        if mult % 2:
-            return None
-        root = root * f ** (mult // 2)
-    return root if root * root == p else None
-
-
-def is_square_ratfunc(f: RatFunc) -> bool:
-    """Whether f is the square of some element of Q(i)(x)."""
-    if f.is_zero():
-        return True
-    return _poly_sqrt(f.num) is not None and _poly_sqrt(f.den) is not None

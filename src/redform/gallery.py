@@ -14,11 +14,11 @@ from .field import GaussRational, RF_RING
 from .linalg import Mat
 from .parsing import parse_ratfunc, format_ratfunc
 from .diffsys import LinearDiffSystem, gauge_transform, substitute_power
-from .constructions import Sym, Ext, Id, apply_algebra
+from .constructions import Sym, Ext, Id, apply_algebra, format_construction
 from .ratsols import rational_solutions, BoundConfig
-from .reduction import (InvariantSolution, is_reduced, build_system_S,
-                        normalize_trace, quadform_from_invariant,
-                        gauss_diagonalize, verify_reduction)
+from .reduction import (is_reduced, build_system_S, normalize_trace,
+                        quadform_from_invariant, gauss_diagonalize,
+                        verify_reduction, _collect_invariants)
 from .weinorman import decompose
 
 __all__ = ["EXAMPLE_NAMES", "builtin_system", "builtin_reduction_matrices",
@@ -91,15 +91,8 @@ def _run_dihedral(cfg: BoundConfig):
     sys = builtin_system("dihedral")
     sym2 = Sym(2, Id())
     sym2ext = Sym(2, Ext(2, Id()))
-    b1, sym2_strs = _basis_strings(sys, sym2, "x", cfg)
-    b2, ext_strs = _basis_strings(sys, sym2ext, "x", cfg)
-
-    z0 = GaussRational(1)
-    invariants = []
-    for e, basis in ((sym2, b1), (sym2ext, b2)):
-        for phi in basis.vectors:
-            invariants.append(InvariantSolution(
-                e, tuple(phi), tuple(f.eval(z0) for f in phi), z0))
+    invariants, _ = _collect_invariants(sys, (sym2, sym2ext),
+                                        GaussRational(1), cfg)
     export = build_system_S(invariants, sys.size, sys.var)
 
     subst = substitute_power(sys, 2)
@@ -114,9 +107,10 @@ def _run_dihedral(cfg: BoundConfig):
         "name": "dihedral",
         "system": sys.to_json_dict(),
         "invariants": {
-            "sym(2,id)": sym2_strs,
-            "sym(2,ext(2,id))": ext_strs,
-        },
+            format_construction(e): [[format_ratfunc(f, "x") for f in inv.phi]
+                                     for inv in invariants
+                                     if inv.construction == e]
+            for e in (sym2, sym2ext)},
         "system_S": {
             "z0": "1",
             "unknowns": list(export.unknowns),

@@ -7,7 +7,7 @@ desk scale, so everything is dense.
 
 from __future__ import annotations
 
-from .field import Ring, GaussRational
+from .field import Ring, GaussRational, GR_ZERO, UP_ONE
 
 __all__ = ["Mat", "rref", "nullspace", "mat_vec"]
 
@@ -110,24 +110,16 @@ class Mat:
         return _det_cofactor(self.ring, self.entries)
 
     def inverse(self):
+        """Inverse, read off the reduced echelon form of [M | I]."""
         if not self.is_square():
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        ring = self.ring
-        work = [list(r) + Mat.identity(ring, n).entries[i]
-                for i, r in enumerate(self.entries)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if work[r][col] != ring.zero), None)
-            if piv is None:
-                raise ValueError("singular matrix")
-            work[col], work[piv] = work[piv], work[col]
-            inv = ring.one / work[col][col]
-            work[col] = [v * inv for v in work[col]]
-            for r in range(n):
-                if r != col and work[r][col] != ring.zero:
-                    f = work[r][col]
-                    work[r] = [a - f * b for a, b in zip(work[r], work[col])]
-        return Mat(ring, [r[n:] for r in work])
+        ident = Mat.identity(self.ring, n).entries
+        red, pivots = rref(Mat(self.ring, [r + e for r, e in
+                                           zip(self.entries, ident)]))
+        if pivots[:n] != list(range(n)):
+            raise ValueError("singular matrix")
+        return Mat(self.ring, [r[n:] for r in red.entries])
 
     def is_zero(self):
         return all(a == self.ring.zero for r in self.entries for a in r)
@@ -264,3 +256,22 @@ def mat_vec(m: Mat, v):
             acc = acc + a * b
         out.append(acc)
     return out
+
+
+def _clear_denominators(vectors):
+    """Q(i) coefficient rows of vectors of rational functions.
+
+    Returns (den, width, rows): den is the monic lcm of all denominators, and
+    row k lists, entry by entry, the `width` coefficients (lowest degree
+    first, zero-padded) of the polynomials f * den for f in vectors[k].
+    """
+    den = UP_ONE
+    for vec in vectors:
+        for f in vec:
+            den = den.lcm(f.den)
+    nums = [[f.num * (den // f.den) for f in vec] for vec in vectors]
+    width = max((len(p.coeffs) for vec in nums for p in vec), default=0)
+    rows = [[c for p in vec
+             for c in p.coeffs + (GR_ZERO,) * (width - len(p.coeffs))]
+            for vec in nums]
+    return den, width, rows

@@ -11,16 +11,16 @@ a window may bind).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .field import (GaussRational, UniPoly, RatFunc, Ring, QI_RING,
-                    GR_ZERO, GR_ONE, UP_ONE, Q)
-from .linalg import Mat, rref, nullspace, mat_vec
+from .field import (GaussRational, UniPoly, RatFunc, Ring, QI_RING, GR_ZERO,
+                    UP_ONE)
+from .linalg import Mat, rref, nullspace, mat_vec, _clear_denominators
 from .diffsys import LinearDiffSystem, singular_points
 from .factor import irreducible_factors
 
 __all__ = ["BoundConfig", "RationalSolutionBasis", "rational_solutions",
-           "log_derivative_rational", "constant_coefficient_test"]
+           "log_derivative_rational"]
 
 
 @dataclass(frozen=True)
@@ -308,8 +308,10 @@ def _rational_solutions(sys: LinearDiffSystem,
             f"numerator degree bound capped at {cap} "
             f"(analysis suggested {den.degree + growth + slack})")
 
-    vectors = _solve_ansatz(B, den, E)
-    vectors = _echelonize(vectors, den, E, n)
+    # reduced echelon basis of the (independent) kernel rows; block j is psi_j
+    red, _ = rref(Mat(QI_RING, _solve_ansatz(B, den, E)))
+    vectors = [[RatFunc(UniPoly(row[j * (E + 1):(j + 1) * (E + 1)]), den)
+                for j in range(n)] for row in red.entries]
 
     # exact verification; the construction is exact so this must hold
     for vec in vectors:
@@ -322,24 +324,15 @@ def _rational_solutions(sys: LinearDiffSystem,
 
 
 def _solve_ansatz(B: Mat, den: UniPoly, E: int):
-    """All phi = psi/den with polynomial psi, deg <= E, solving phi' = B phi."""
+    """Kernel rows for all phi = psi/den with polynomial psi, deg <= E, solving
+    phi' = B phi; row block j holds the coefficients of psi_j."""
     n = B.rows
-    den_rf = RatFunc(den)
-    dlog = RatFunc(den.derivative()) / den_rf  # den'/den, reduced
-
-    mult = dlog.den
-    for row in B.entries:
-        for e in row:
-            mult = mult.lcm(e.den)
-    mult_rf = RatFunc(mult)
-    r_cleared = dlog * mult_rf
-    assert r_cleared.den == UP_ONE
-    r_poly = r_cleared.num
-    Bpoly = []
-    for row in B.entries:
-        cleared = [e * mult_rf for e in row]
-        assert all(e.den == UP_ONE for e in cleared)
-        Bpoly.append([e.num for e in cleared])
+    dlog = RatFunc(den.derivative()) / RatFunc(den)  # den'/den, reduced
+    mult, width, (cleared,) = _clear_denominators(
+        [[dlog] + [e for row in B.entries for e in row]])
+    r_poly, *flat = [UniPoly(cleared[k * width:(k + 1) * width])
+                     for k in range(n * n + 1)]
+    Bpoly = [flat[i * n:(i + 1) * n] for i in range(n)]
 
     max_deg = E + max([mult.degree, r_poly.degree if not r_poly.is_zero() else 0]
                       + [p.degree for row in Bpoly for p in row if not p.is_zero()])
@@ -367,40 +360,7 @@ def _solve_ansatz(B: Mat, den: UniPoly, E: int):
                 add_poly(j, col, mult * (xsh ** (d - 1)) * GaussRational(d))
             add_poly(j, col, r_poly * xd, sign=-1)
 
-    kern = nullspace(Mat(QI_RING, rows))
-    sols = []
-    for vec in kern:
-        phi = []
-        for j in range(n):
-            psi = UniPoly(vec[j * (E + 1):(j + 1) * (E + 1)])
-            phi.append(RatFunc(psi) / den_rf)
-        sols.append(phi)
-    return sols
-
-
-def _echelonize(vectors, den: UniPoly, E: int, n: int):
-    """Reduced echelon normalization of the solution span over constants."""
-    if not vectors:
-        return []
-    den_rf = RatFunc(den)
-    rows = []
-    for vec in vectors:
-        coeffs = []
-        for e in vec:
-            psi = (e * den_rf).num
-            cs = list(psi.coeffs) + [GR_ZERO] * (E + 1 - len(psi.coeffs))
-            coeffs.extend(cs[:E + 1])
-        rows.append(coeffs)
-    red, pivots = rref(Mat(QI_RING, rows))
-    out = []
-    for prow in range(len(pivots)):
-        coeffs = red.entries[prow]
-        vec = []
-        for j in range(n):
-            psi = UniPoly(coeffs[j * (E + 1):(j + 1) * (E + 1)])
-            vec.append(RatFunc(psi) / den_rf)
-        out.append(vec)
-    return out
+    return nullspace(Mat(QI_RING, rows))
 
 
 def log_derivative_rational(f: RatFunc):
@@ -425,8 +385,3 @@ def log_derivative_rational(f: RatFunc):
     if u.derivative() / u == f:
         return u
     return None
-
-
-def constant_coefficient_test(basis: RationalSolutionBasis) -> bool:
-    """Whether every basis vector lies in Q(i)^N (vacuously true when empty)."""
-    return all(e.is_constant() for vec in basis.vectors for e in vec)

@@ -13,14 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .field import (GaussRational, UniPoly, RatFunc, Ring, Q,
-                    GR_ZERO, RF_ZERO, RF_ONE, RF_RING)
+from .field import (GaussRational, RatFunc, Ring, Q, GR_ZERO, RF_ZERO,
+                    RF_ONE, RF_RING)
 from .linalg import Mat, mat_vec
 from .diffsys import (LinearDiffSystem, gauge_transform, matrix_derivative,
                       pick_ordinary_point)
 from .constructions import (apply_algebra, apply_group, sym_monomials,
-                            format_construction, Id, Sym, Ext, Tensor, Dual,
-                            DSum, ConstructionError)
+                            format_construction, Sym, Ext, Tensor, Dual, DSum,
+                            ConstructionError)
 from .weinorman import decompose, WeiNormanDecomposition
 from .ratsols import (BoundConfig, rational_solutions, log_derivative_rational)
 from .parsing import format_ratfunc, format_gauss
@@ -214,6 +214,23 @@ def _contains_dual(expr) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _collect_invariants(sys: LinearDiffSystem, constructions, z0, cfg):
+    """Rational solutions of each Y' = const_e(A) Y, evaluated at z0.
+
+    Returns (invariants, warnings); a pole of an invariant at z0 raises
+    ZeroDivisionError.
+    """
+    invariants = []
+    warnings = []
+    for e in constructions:
+        B = apply_algebra(e, sys.matrix)
+        basis = rational_solutions(LinearDiffSystem(B, sys.var), cfg)
+        warnings.extend(f"{format_construction(e)}: {w}" for w in basis.warnings)
+        invariants.extend(InvariantSolution(e, phi, tuple(f.eval(z0) for f in phi),
+                                            z0) for phi in basis.vectors)
+    return invariants, warnings
+
+
 def is_reduced(sys: LinearDiffSystem, constructions,
                cfg: BoundConfig = BoundConfig()) -> ReductionCertificate:
     """Constant-invariant criterion relative to the supplied constructions.
@@ -229,15 +246,7 @@ def is_reduced(sys: LinearDiffSystem, constructions,
         raise ValueError("at least one construction is required")
     z0 = pick_ordinary_point(sys)
     deco = decompose(sys)
-    invariants = []
-    warnings = []
-    for e in constructions:
-        B = apply_algebra(e, sys.matrix)
-        basis = rational_solutions(LinearDiffSystem(B, sys.var), cfg)
-        warnings.extend(f"{format_construction(e)}: {w}" for w in basis.warnings)
-        for phi in basis.vectors:
-            v = tuple(f.eval(z0) for f in phi)
-            invariants.append(InvariantSolution(e, tuple(phi), v, z0))
+    invariants, warnings = _collect_invariants(sys, constructions, z0, cfg)
 
     witnesses = []
     witnesses_zero = True
@@ -411,9 +420,6 @@ def verify_reduction(sys: LinearDiffSystem, P: Mat, constructions,
     system (const(N) . phi = 0), which is exactly the property a reduction
     matrix must have.
     """
-    det = P.det()
-    if det == RF_ZERO:
-        raise ValueError("singular candidate matrix (det = 0)")
     gauged = gauge_transform(P, sys)
     cert = is_reduced(gauged, constructions, cfg)
     N = matrix_derivative(P) * P.inverse() - sys.matrix

@@ -1,15 +1,14 @@
-"""Wei-Norman decomposition and Lie-bracket closure of constant matrix spans."""
+"""Wei-Norman decomposition A = sum f_i M_i over the constants."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .field import GaussRational, UniPoly, RatFunc, QI_RING, GR_ZERO
-from .linalg import Mat, rref
+from .field import RatFunc, QI_RING
+from .linalg import Mat, rref, mat_vec, _clear_denominators
 from .diffsys import LinearDiffSystem
 
-__all__ = ["WeiNormanDecomposition", "MatrixLieSpan", "decompose",
-           "bracket_closure", "span_member"]
+__all__ = ["WeiNormanDecomposition", "decompose"]
 
 
 @dataclass(frozen=True)
@@ -29,144 +28,32 @@ class WeiNormanDecomposition:
         return acc
 
 
-@dataclass(frozen=True)
-class MatrixLieSpan:
-    basis: tuple
-    closed: bool = False
-
-    @property
-    def dim(self):
-        return len(self.basis)
-
-
-def _entry_coeff_vector(f: RatFunc, common_den: UniPoly, width: int):
-    """Coefficient vector over Q(i) of f * common_den (a polynomial)."""
-    num = (f * RatFunc(common_den)).num
-    cs = list(num.coeffs) + [GR_ZERO] * (width - len(num.coeffs))
-    return cs
-
-
 def decompose(sys: LinearDiffSystem) -> WeiNormanDecomposition:
     """Greedy Wei-Norman decomposition in row-major entry reading order.
 
     Basis functions are the first entries (over a common denominator) that are
-    linearly independent over constants; A = sum f_i M_i exactly.
+    linearly independent over constants; A = sum f_i M_i exactly.  One rref of
+    the matrix whose columns are the entries' coefficient vectors gives both:
+    its pivot columns are the basis entries, and its column j holds entry j's
+    coordinates in that basis.
     """
     A = sys.matrix
     n = A.rows
-    common = UniPoly([1])
-    for row in A.entries:
-        for e in row:
-            common = common.lcm(e.den)
-    width = max((e.num.degree + common.degree + 1 for row in A.entries
-                 for e in row if not e.is_zero()), default=1)
-
-    basis_funcs = []
-    basis_vecs = []
-    entry_vecs = {}
-    for i in range(n):
-        for j in range(n):
-            e = A.entries[i][j]
-            if e.is_zero():
-                continue
-            v = _entry_coeff_vector(e, common, width)
-            entry_vecs[(i, j)] = v
-            stacked = Mat(QI_RING, basis_vecs + [v])
-            _, pivots = rref(stacked)
-            if len(pivots) > len(basis_vecs):
-                basis_vecs.append(v)
-                basis_funcs.append(e)
-
-    r = len(basis_funcs)
-    if r == 0:
+    cells = [(i, j) for i in range(n) for j in range(n)
+             if not A.entries[i][j].is_zero()]
+    if not cells:
         return WeiNormanDecomposition((), ())
+    _, _, vecs = _clear_denominators([[A.entries[i][j]] for i, j in cells])
+    red, pivots = rref(Mat(QI_RING, vecs).transpose())
 
-    # coordinates of each entry in the chosen function basis
-    basis_mat = Mat(QI_RING, basis_vecs).transpose()
-    solver = _LinearSolver(basis_mat)
-    mats = [Mat.zeros(QI_RING, n, n).entries for _ in range(r)]
-    for (i, j), v in entry_vecs.items():
-        coords = solver.solve(v)
-        for k, c in enumerate(coords):
-            mats[k][i][j] = c
-    return WeiNormanDecomposition(tuple(basis_funcs),
-                                  tuple(Mat(QI_RING, m) for m in mats))
-
-
-class _LinearSolver:
-    """Solves M x = b repeatedly for a fixed full-column-rank M over Q(i)."""
-
-    def __init__(self, M: Mat):
-        self.M = M
-        aug = Mat(QI_RING, [row + ident_row
-                            for row, ident_row in zip(
-                                M.entries,
-                                Mat.identity(QI_RING, M.rows).entries)])
-        red, pivots = rref(aug)
-        self.red = red
-        self.pivots = pivots
-        self.ncols = M.cols
-
-    def solve(self, b):
-        n = self.ncols
-        x = [GR_ZERO] * n
-        for prow, pcol in enumerate(self.pivots):
-            if pcol >= n:
-                break
-            acc = GR_ZERO
-            for j, bj in enumerate(b):
-                acc = acc + self.red.entries[prow][n + j] * bj
-            x[pcol] = acc
-        # consistency check (b must lie in the column space)
-        from .linalg import mat_vec
-        if mat_vec(self.M, x) != list(b):
+    basis = Mat(QI_RING, [vecs[k] for k in pivots]).transpose()
+    mats = [Mat.zeros(QI_RING, n, n).entries for _ in pivots]
+    for k, (i, j) in enumerate(cells):
+        coords = [red.entries[p][k] for p in range(len(pivots))]
+        if mat_vec(basis, coords) != vecs[k]:
             raise ValueError("inconsistent linear system in decomposition")
-        return x
-
-
-def _flatten(M: Mat):
-    return [c for row in M.entries for c in row]
-
-
-def bracket_closure(gens) -> MatrixLieSpan:
-    """Span of the generators closed under [X,Y] = XY - YX."""
-    gens = list(gens)
-    if not gens:
-        return MatrixLieSpan((), True)
-    n = gens[0].rows
-    basis = []
-    vecs = []
-
-    def try_add(M):
-        v = _flatten(M)
-        stacked = Mat(QI_RING, vecs + [v])
-        _, pivots = rref(stacked)
-        if len(pivots) > len(vecs):
-            vecs.append(v)
-            basis.append(M)
-            return True
-        return False
-
-    for g in gens:
-        try_add(g)
-    frontier = list(basis)
-    while frontier:
-        new = []
-        for X in frontier:
-            for Y in basis:
-                B = X * Y - Y * X
-                if try_add(B):
-                    new.append(B)
-        frontier = new
-    return MatrixLieSpan(tuple(basis), True)
-
-
-def span_member(span: MatrixLieSpan, M: Mat) -> bool:
-    """Whether M is a constant-linear combination of the span basis."""
-    vecs = [_flatten(B) for B in span.basis]
-    v = _flatten(M)
-    if all(c == GR_ZERO for c in v):
-        return True
-    _, pivots_without = rref(Mat(QI_RING, vecs)) if vecs else (None, [])
-    _, pivots_with = rref(Mat(QI_RING, vecs + [v]))
-    return len(pivots_with) == len(pivots_without)
+        for M, c in zip(mats, coords):
+            M[i][j] = c
+    return WeiNormanDecomposition(
+        tuple(A.entries[cells[k][0]][cells[k][1]] for k in pivots),
+        tuple(Mat(QI_RING, M) for M in mats))

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from redform.field import GaussRational, UniPoly, RatFunc, QI_RING, RF_RING, Q
-from redform.linalg import Mat, rref
+from redform.field import GaussRational, UniPoly, RatFunc, Ring, QI_RING, RF_RING
+from redform.linalg import Mat, rref, _clear_denominators
+from redform.factor import irreducible_factors
 from redform.diffsys import LinearDiffSystem
 from redform.parsing import parse_ratfunc
 
@@ -58,26 +59,7 @@ def random_invertible_poly_mat(rng, n, max_deg=2):
 
 def span_matrix(vectors):
     """Stack rational-function vectors as Q(i) coefficient rows (for span tests)."""
-    common = UniPoly([1])
-    for vec in vectors:
-        for e in vec:
-            common = common.lcm(e.den)
-    width = 0
-    rows = []
-    for vec in vectors:
-        row = []
-        for e in vec:
-            num = (e * RatFunc(common)).num
-            row.append(list(num.coeffs))
-        rows.append(row)
-        width = max(width, max((len(c) for c in row), default=0))
-    flat = []
-    for row in rows:
-        out = []
-        for coeffs in row:
-            out.extend(coeffs + [GaussRational(0)] * (width - len(coeffs)))
-        flat.append(out)
-    return Mat(QI_RING, flat)
+    return Mat(QI_RING, _clear_denominators(vectors)[2])
 
 
 def same_span(vecs_a, vecs_b):
@@ -93,6 +75,105 @@ def same_span(vecs_a, vecs_b):
     rb = len(rref(only_b)[1])
     rab = len(rref(both)[1])
     return ra == rb == rab
+
+
+# ---------------------------------------------------------------------------
+# dual numbers a + eps b with eps^2 = 0, over an arbitrary base ring: the
+# functor-law tests check Const(I + eps N) = I + eps const(N) with them
+
+
+class DualNum:
+    __slots__ = ("a", "b")
+
+    def __init__(self, a, b):
+        self.a = a
+        self.b = b
+
+    def __add__(self, other):
+        return DualNum(self.a + other.a, self.b + other.b)
+
+    def __sub__(self, other):
+        return DualNum(self.a - other.a, self.b - other.b)
+
+    def __neg__(self):
+        return DualNum(-self.a, -self.b)
+
+    def __mul__(self, other):
+        return DualNum(self.a * other.a, self.a * other.b + self.b * other.a)
+
+    def __truediv__(self, other):
+        return self * other.inverse()
+
+    def inverse(self):
+        ainv = self.a.inverse()
+        return DualNum(ainv, -(ainv * self.b * ainv))
+
+    def __eq__(self, other):
+        if not isinstance(other, DualNum):
+            return NotImplemented
+        return self.a == other.a and self.b == other.b
+
+    def __hash__(self):
+        return hash((self.a, self.b))
+
+    def __repr__(self):
+        return f"DualNum({self.a!r}, {self.b!r})"
+
+
+def dual_ring(base: Ring) -> Ring:
+    return Ring(DualNum(base.zero, base.zero), DualNum(base.one, base.zero),
+                base.has_division, f"dual({base.name})")
+
+
+def dual_matrix(a: Mat, b: Mat) -> Mat:
+    """Matrix a + eps b over the dual-number ring of a's ring."""
+    if (a.rows, a.cols) != (b.rows, b.cols):
+        raise ValueError("dual matrix parts must share a shape")
+    ring = dual_ring(a.ring)
+    return Mat(ring, [[DualNum(x, y) for x, y in zip(ra, rb)]
+                      for ra, rb in zip(a.entries, b.entries)])
+
+
+def split_dual_matrix(m: Mat, base: Ring):
+    a = Mat(base, [[e.a for e in row] for row in m.entries])
+    b = Mat(base, [[e.b for e in row] for row in m.entries])
+    return a, b
+
+
+# ---------------------------------------------------------------------------
+# square detection in Q(i)(x)
+
+
+def _poly_sqrt(p: UniPoly):
+    """g with g^2 = p, or None."""
+    if p.is_zero():
+        return UniPoly()
+    if p.degree % 2:
+        return None
+    lead = p.leading().sqrt()
+    if lead is None:
+        return None
+    unit = (p.coeffs[0] if p.degree == 0 else None)
+    factors = irreducible_factors(p)
+    root = UniPoly.const(lead) if p.degree > 0 else None
+    if p.degree == 0:
+        s = unit.sqrt()
+        return None if s is None else UniPoly.const(s)
+    for f, mult in factors:
+        if mult % 2:
+            return None
+        root = root * f ** (mult // 2)
+    return root if root * root == p else None
+
+
+def is_square_ratfunc(f: RatFunc) -> bool:
+    """Whether f is the square of some element of Q(i)(x)."""
+    if f.is_zero():
+        return True
+    return _poly_sqrt(f.num) is not None and _poly_sqrt(f.den) is not None
+
+
+# ---------------------------------------------------------------------------
 
 
 @pytest.fixture

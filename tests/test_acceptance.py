@@ -14,19 +14,18 @@ from redform.diffsys import (LinearDiffSystem, gauge_transform,
                              substitute_power, series_solution,
                              pick_ordinary_point)
 from redform.constructions import (Id, Sym, Ext, Tensor, Dual, apply_group,
-                                   apply_algebra, dimension, dual_matrix,
-                                   split_dual_matrix)
+                                   apply_algebra, dimension)
 from redform.ratsols import rational_solutions
 from redform.weinorman import decompose
 from redform.reduction import (InvariantSolution, MultiPoly, is_reduced,
                                build_system_S, quadform_from_invariant,
                                gauss_diagonalize)
-from redform.factor import is_square_ratfunc
 from redform.gallery import builtin_system, builtin_reduction_matrices
 from redform.parsing import parse_ratfunc
 
 from conftest import (mat, rf, same_span, random_const_mat,
-                      random_invertible_const_mat, random_invertible_poly_mat)
+                      random_invertible_const_mat, random_invertible_poly_mat,
+                      dual_matrix, split_dual_matrix, is_square_ratfunc)
 
 SYM2 = Sym(2, Id())
 

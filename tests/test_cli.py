@@ -84,6 +84,12 @@ def test_series_report(sys_file, capsys):
     assert report["order"] == 3
 
 
+def test_series_negative_order_is_input_error(sys_file, capsys):
+    code, out, err = run(capsys, "series", "--order", "-1", sys_file)
+    assert code == 2
+    assert out == "" and "order" in err
+
+
 def test_check_reduced_exit_codes(sys_file, capsys):
     code, out, _ = run(capsys, "check-reduced", "--construction", "sym(2,id)",
                        sys_file)
@@ -145,6 +151,16 @@ def test_parse_error_reports_position(tmp_path, capsys):
     code, _, err = run(capsys, "ratsols", str(p))
     assert code == 2
     assert "line" in err and "column" in err
+
+
+def test_variable_named_i_is_input_error(tmp_path, capsys):
+    # "i" is the imaginary unit in expressions, so it cannot be the variable
+    p = tmp_path / "var_i.json"
+    p.write_text(json.dumps({"var": "i",
+                             "matrix": [["0", "1"], ["i", "1/(2*i)"]]}))
+    code, out, err = run(capsys, "wei-norman", str(p))
+    assert code == 2
+    assert out == "" and "imaginary unit" in err
 
 
 def test_bad_construction_dsl(sys_file, capsys):

@@ -7,10 +7,10 @@ from redform.linalg import Mat
 from redform.constructions import (Id, Sym, Ext, Tensor, Dual, DSum,
                                    dimension, sym_monomials, apply_group,
                                    apply_algebra, parse_construction,
-                                   format_construction, ConstructionError,
-                                   dual_ring, dual_matrix, split_dual_matrix)
+                                   format_construction, ConstructionError)
 
-from conftest import const_mat, random_const_mat, random_invertible_const_mat
+from conftest import (const_mat, random_const_mat, random_invertible_const_mat,
+                      dual_matrix, split_dual_matrix)
 
 
 def test_dimension_counts():

@@ -1,8 +1,10 @@
 """Irreducible factorization over Q(i) and square detection."""
 
 from redform.field import GaussRational, UniPoly, RatFunc, GR_I, UP_ONE
-from redform.factor import irreducible_factors, is_square_ratfunc
+from redform.factor import irreducible_factors
 from redform.parsing import parse_ratfunc
+
+from conftest import is_square_ratfunc
 
 
 def x_minus(c):

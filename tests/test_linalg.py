@@ -57,6 +57,8 @@ def test_singular_inverse_raises():
                       [QI_RING.one, QI_RING.one]])
     with pytest.raises(ValueError):
         m.inverse()
+    with pytest.raises(ValueError):
+        mat([["x", "1/x"], ["x^2", "1"]]).inverse()
 
 
 def test_det_multiplicative():

@@ -6,8 +6,7 @@ from redform.field import GaussRational, UniPoly, RatFunc, Q
 from redform.linalg import mat_vec
 from redform.diffsys import LinearDiffSystem, gauge_transform
 from redform.ratsols import (BoundConfig, rational_solutions,
-                             log_derivative_rational,
-                             constant_coefficient_test, residue_matrix,
+                             log_derivative_rational, residue_matrix,
                              _integer_eigen_scan)
 
 from conftest import rf, mat, same_span, random_invertible_poly_mat
@@ -117,12 +116,3 @@ def test_log_derivative_rational():
     assert log_derivative_rational(rf("x")) is None
     u = log_derivative_rational(rf("-3/x"))
     assert u is not None and u.derivative() / u == rf("-3/x")
-
-
-def test_constant_coefficient_test():
-    from redform.ratsols import RationalSolutionBasis
-    assert constant_coefficient_test(RationalSolutionBasis(()))
-    assert constant_coefficient_test(
-        RationalSolutionBasis(((rf("1"), rf("-2")),)))
-    assert not constant_coefficient_test(
-        RationalSolutionBasis(((rf("x"), rf("0")),)))

@@ -1,11 +1,10 @@
-"""Wei-Norman decomposition and bracket closure."""
+"""Wei-Norman decomposition."""
 
-from redform.field import GaussRational, RatFunc, RF_RING, QI_RING
-from redform.linalg import Mat
+from redform.field import RF_RING
 from redform.diffsys import LinearDiffSystem
-from redform.weinorman import decompose, bracket_closure, span_member
+from redform.weinorman import decompose
 
-from conftest import const_mat, mat, random_poly_mat
+from conftest import const_mat, random_poly_mat
 
 
 def test_dihedral_decomposition(dihedral):
@@ -39,34 +38,14 @@ def test_coefficients_independent_over_constants(rng):
     deco = decompose(sys)
     assert deco.rank == 1
     assert deco.reconstruct(RF_RING) == sys.matrix
-
-
-def test_bracket_closure_sl2():
-    E = const_mat([[0, 1], [0, 0]])
-    F = const_mat([[0, 0], [1, 0]])
-    span = bracket_closure([E, F])
-    assert span.dim == 3
-    H = const_mat([[1, 0], [0, -1]])
-    assert span_member(span, H)
-    assert not span_member(span, Mat.identity(QI_RING, 2))
-
-
-def test_bracket_closure_abelian():
-    D1 = const_mat([[1, 0], [0, 0]])
-    D2 = const_mat([[0, 0], [0, 1]])
-    span = bracket_closure([D1, D2])
-    assert span.dim == 2
-
-
-def test_bracket_closure_closed_under_bracket(rng):
-    from conftest import random_const_mat
-    gens = [random_const_mat(rng, 2) for _ in range(2)]
-    span = bracket_closure(gens)
-    for X in span.basis:
-        for Y in span.basis:
-            assert span_member(span, X * Y - Y * X)
-
-
-def test_span_member_zero():
-    span = bracket_closure([const_mat([[0, 1], [0, 0]])])
-    assert span_member(span, const_mat([[0, 0], [0, 0]]))
+    # Gaussian entries with a zero, a repeat and dependent entries: the basis
+    # is the first independent entries in row-major order (over the common
+    # denominator x-i the first four span all numerators of degree <= 3)
+    sys = LinearDiffSystem.from_strings(
+        [["i*x", "0", "1/(x-i)"],
+         ["i*x", "2*x+(1+i)/(x-i)", "x^2"],
+         ["(x^3+1)/(x-i)", "3", "-x"]], "x")
+    deco = decompose(sys)
+    A = sys.matrix.entries
+    assert deco.coeffs == (A[0][0], A[0][2], A[1][2], A[2][0])
+    assert deco.reconstruct(RF_RING) == sys.matrix
