@@ -17,7 +17,7 @@ from .constructions import (Id, Sym, Ext, Tensor, Dual, DSum, dimension,
                             apply_group, apply_algebra, parse_construction,
                             format_construction, ConstructionError)
 from .weinorman import WeiNormanDecomposition, decompose
-from .ratsols import (BoundConfig, RationalSolutionBasis, rational_solutions,
+from .ratsols import (RationalSolutionBasis, rational_solutions,
                       log_derivative_rational)
 from .reduction import (InvariantSolution, ReductionCertificate,
                         PolySystemExport, VerificationReport, is_reduced,

@@ -5,7 +5,8 @@ runs one pipeline stage, and emits a JSON report (to --out if given, else to
 standard output, with a one-line human summary either way).
 
 Exit codes: 0 success, 1 mathematical failure (a verdict contradicting
---expect-reduced, or a golden mismatch in `example`), 2 input error.
+--expect-reduced, or a golden mismatch in `example`), 2 input error,
+3 internal error.
 """
 
 from __future__ import annotations
@@ -13,16 +14,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys as _sys
+import traceback
 
-from .field import GaussRational, Q
+from .field import GaussRational
 from .linalg import Mat
-from .parsing import ParseError, format_ratfunc, format_gauss
+from .parsing import ParseError, parse_ratfunc, format_ratfunc, format_gauss
 from .diffsys import (LinearDiffSystem, gauge_transform, series_solution,
                       substitute_power, pick_ordinary_point,
                       DEFAULT_SERIES_ORDER)
 from .constructions import (parse_construction, format_construction,
                             apply_algebra, apply_group, ConstructionError)
-from .ratsols import BoundConfig, rational_solutions
+from .ratsols import rational_solutions
 from .weinorman import decompose
 from .reduction import (is_reduced, build_system_S, verify_reduction,
                         _collect_invariants)
@@ -76,24 +78,15 @@ def _parse_constructions(args, default=None):
     return out
 
 
-def _parse_bounds(args) -> BoundConfig:
-    if not args.bounds:
-        return BoundConfig()
-    parts = args.bounds.split(",")
-    if len(parts) != 3:
-        raise InputError("--bounds expects three integers: window,slack,cap")
+def _parse_point(text, var) -> GaussRational:
+    """A constant of Q(i) written in the expression syntax, e.g. 1+i or 1/2."""
     try:
-        w, s, c = (int(p) for p in parts)
-        return BoundConfig(w, s, c)
-    except ValueError as e:
-        raise InputError(f"bad --bounds: {e}") from None
-
-
-def _parse_rational(text) -> GaussRational:
-    try:
-        return GaussRational(Q(text))
-    except (ValueError, ZeroDivisionError) as e:
-        raise InputError(f"bad rational {text!r}: {e}") from None
+        f = parse_ratfunc(text, var)
+    except (ParseError, ZeroDivisionError) as e:
+        raise InputError(f"bad point {text!r}: {e}") from None
+    if not f.is_constant():
+        raise InputError(f"bad point {text!r}: not a constant")
+    return f.constant_value()
 
 
 def _emit(report: dict, args, summary: str):
@@ -147,16 +140,14 @@ def _cmd_construct(args):
 def _cmd_ratsols(args):
     sys = _load_system(args.system)
     exprs = _parse_constructions(args, default="id")
-    cfg = _parse_bounds(args)
     out = []
     for e in exprs:
         B = apply_algebra(e, sys.matrix)
-        basis = rational_solutions(LinearDiffSystem(B, sys.var), cfg)
+        basis = rational_solutions(LinearDiffSystem(B, sys.var))
         out.append({
             "construction": format_construction(e),
             "basis": [[format_ratfunc(f, sys.var) for f in vec]
                       for vec in basis.vectors],
-            "warnings": list(basis.warnings),
         })
     total = sum(len(b["basis"]) for b in out)
     _emit({"var": sys.var, "solutions": out}, args,
@@ -167,8 +158,7 @@ def _cmd_ratsols(args):
 def _cmd_check_reduced(args):
     sys = _load_system(args.system)
     exprs = _parse_constructions(args, default="sym(2,id)")
-    cfg = _parse_bounds(args)
-    cert = is_reduced(sys, exprs, cfg)
+    cert = is_reduced(sys, exprs)
     _emit(cert.to_json_dict(sys.var), args,
           f"verdict: {'reduced' if cert.verdict else 'not reduced'} "
           f"(relative to {len(exprs)} construction(s))")
@@ -191,7 +181,7 @@ def _cmd_gauge(args):
 
 def _cmd_series(args):
     sys = _load_system(args.system)
-    z0 = _parse_rational(args.z0) if args.z0 else pick_ordinary_point(sys)
+    z0 = _parse_point(args.z0, sys.var) if args.z0 else pick_ordinary_point(sys)
     order = args.order if args.order is not None else DEFAULT_SERIES_ORDER
     try:
         ser = series_solution(sys, z0, order)
@@ -220,10 +210,9 @@ def _cmd_subst(args):
 def _cmd_export_s(args):
     sys = _load_system(args.system)
     exprs = _parse_constructions(args, default="sym(2,id)")
-    cfg = _parse_bounds(args)
-    z0 = _parse_rational(args.z0) if args.z0 else pick_ordinary_point(sys)
+    z0 = _parse_point(args.z0, sys.var) if args.z0 else pick_ordinary_point(sys)
     try:
-        invariants, warnings = _collect_invariants(sys, exprs, z0, cfg)
+        invariants = _collect_invariants(sys, exprs, z0)
     except ZeroDivisionError:
         raise InputError(
             f"z0 = {format_gauss(z0)} is a pole of an invariant") from None
@@ -242,21 +231,18 @@ def _cmd_export_s(args):
     else:
         print(text, end="")
         print(json.dumps(sidecar, indent=2, sort_keys=True))
-    for w in warnings:
-        print(f"warning: {w}", file=_sys.stderr)
     return 0
 
 
 def _cmd_verify_reduction(args):
     sys = _load_system(args.system)
     exprs = _parse_constructions(args, default="sym(2,id)")
-    cfg = _parse_bounds(args)
     P = _load_matrix(args.p, sys.var)
     det = P.det()
     if det.is_zero():
         raise InputError(
             f"singular candidate matrix (det = {format_ratfunc(det, sys.var)})")
-    report = verify_reduction(sys, P, exprs, cfg)
+    report = verify_reduction(sys, P, exprs)
     _emit(report.to_json_dict(), args,
           f"verification {'passed' if report.ok else 'failed'}")
     if args.expect_reduced and not report.ok:
@@ -300,7 +286,6 @@ def _build_parser():
     def constructions(sp):
         sp.add_argument("--construction", action="append",
                         help="construction DSL, e.g. sym(2,id); repeatable")
-        sp.add_argument("--bounds", help="solver bounds: window,slack,cap")
 
     sp = sub.add_parser("wei-norman", help="decompose A = sum f_i M_i")
     common(sp)
@@ -332,7 +317,7 @@ def _build_parser():
     sp = sub.add_parser("series",
                         help="truncated fundamental matrix at an ordinary point")
     common(sp)
-    sp.add_argument("--z0", help="expansion point (rational)")
+    sp.add_argument("--z0", help="expansion point, e.g. 1 or 1+i")
     sp.add_argument("--order", type=int)
     sp.set_defaults(fn=_cmd_series)
 
@@ -345,7 +330,7 @@ def _build_parser():
                         help="export the polynomial system for a reduction matrix")
     common(sp)
     constructions(sp)
-    sp.add_argument("--z0", help="evaluation point (rational)")
+    sp.add_argument("--z0", help="evaluation point, e.g. 1 or 1+i")
     sp.set_defaults(fn=_cmd_export_s)
 
     sp = sub.add_parser("verify-reduction",
@@ -381,6 +366,11 @@ def main(argv=None) -> int:
     except (ParseError, ConstructionError) as e:
         print(f"error: {e}", file=_sys.stderr)
         return 2
+    except Exception as e:
+        # a fault of the program, not of its input: keep the traceback
+        traceback.print_exc()
+        print(f"internal error: {type(e).__name__}: {e}", file=_sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -105,20 +105,13 @@ def singular_points(sys: LinearDiffSystem):
 
     Returns a list of (UniPoly, order), order >= 1.
     """
-    orders = {}
-    polys = {}
-    for row in sys.matrix.entries:
-        for e in row:
-            if e.den.degree == 0:
-                continue
-            for p, mult in irreducible_factors(e.den):
-                key = p.coeffs
-                polys[key] = p
-                orders[key] = max(orders.get(key, 0), mult)
-    out = [(polys[k], orders[k]) for k in polys]
-    out.sort(key=lambda fm: (fm[0].degree, [(str(c.re), str(c.im))
-                                            for c in fm[0].coeffs]))
-    return out
+    dens = [e.den for row in sys.matrix.entries for e in row]
+    lcm = UniPoly([1])
+    for d in dens:
+        lcm = lcm.lcm(d)
+    # one factorization; the orders are exact divisibility counts
+    return [(p, max(d.multiplicity(p) for d in dens))
+            for p, _ in irreducible_factors(lcm)]
 
 
 def pick_ordinary_point(sys: LinearDiffSystem) -> GaussRational:

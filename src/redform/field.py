@@ -294,6 +294,19 @@ class UniPoly:
             return a
         return a.monic()
 
+    def inverse_mod(self, p):
+        """Inverse of self modulo p, of degree below deg p (extended Euclid)."""
+        a, b = p, self % p
+        s0, s1 = UniPoly(), UniPoly([1])
+        while not b.is_zero():
+            q, r = a.divmod(b)
+            a, b = b, r
+            s0, s1 = s1, s0 - q * s1
+        # a = gcd(p, self) with a = s0 * self mod p
+        if a.degree != 0:
+            raise ZeroDivisionError("no inverse modulo a common factor")
+        return (s0 * a.coeffs[0].inverse()) % p
+
     def lcm(self, other):
         if self.is_zero() or other.is_zero():
             return UniPoly()

@@ -15,7 +15,7 @@ from .linalg import Mat
 from .parsing import parse_ratfunc, format_ratfunc
 from .diffsys import LinearDiffSystem, gauge_transform, substitute_power
 from .constructions import Sym, Ext, Id, apply_algebra, format_construction
-from .ratsols import rational_solutions, BoundConfig
+from .ratsols import rational_solutions
 from .reduction import (is_reduced, build_system_S, normalize_trace,
                         quadform_from_invariant, gauss_diagonalize,
                         verify_reduction, _collect_invariants)
@@ -80,28 +80,27 @@ def builtin_reduction_matrices(name: str):
     raise KeyError(f"unknown example {name!r}")
 
 
-def _basis_strings(sys, construction, var, cfg):
+def _basis_strings(sys, construction, var):
     B = apply_algebra(construction, sys.matrix)
-    basis = rational_solutions(LinearDiffSystem(B, var), cfg)
+    basis = rational_solutions(LinearDiffSystem(B, var))
     return basis, [[format_ratfunc(f, var) for f in vec]
                    for vec in basis.vectors]
 
 
-def _run_dihedral(cfg: BoundConfig):
+def _run_dihedral():
     sys = builtin_system("dihedral")
     sym2 = Sym(2, Id())
     sym2ext = Sym(2, Ext(2, Id()))
-    invariants, _ = _collect_invariants(sys, (sym2, sym2ext),
-                                        GaussRational(1), cfg)
+    invariants = _collect_invariants(sys, (sym2, sym2ext), GaussRational(1))
     export = build_system_S(invariants, sys.size, sys.var)
 
     subst = substitute_power(sys, 2)
     P1, _ = builtin_reduction_matrices("dihedral")[0]
     P2, _ = builtin_reduction_matrices("dihedral")[1]
     g1 = gauge_transform(P1, subst)
-    c1 = is_reduced(g1, [sym2], cfg)
+    c1 = is_reduced(g1, [sym2])
     g2 = gauge_transform(P2, g1)
-    c2 = is_reduced(g2, [sym2], cfg)
+    c2 = is_reduced(g2, [sym2])
 
     return {
         "name": "dihedral",
@@ -132,16 +131,16 @@ def _run_dihedral(cfg: BoundConfig):
     }
 
 
-def _run_so3(cfg: BoundConfig):
+def _run_so3():
     sys = builtin_system("so3")
     Pn, _ = normalize_trace(sys)
     sym2 = Sym(2, Id())
-    basis, basis_strs = _basis_strings(sys, sym2, "x", cfg)
+    basis, basis_strs = _basis_strings(sys, sym2, "x")
 
     S = quadform_from_invariant(list(basis.vectors[0]), sys.size)
     Qm, D = gauss_diagonalize(S)
     P, _ = builtin_reduction_matrices("so3")[0]
-    report = verify_reduction(sys, P, [sym2], cfg)
+    report = verify_reduction(sys, P, [sym2])
     deco = decompose(report.gauged)
 
     return {
@@ -169,11 +168,11 @@ def _run_so3(cfg: BoundConfig):
     }
 
 
-def run_example(name: str, cfg: BoundConfig = BoundConfig()) -> dict:
+def run_example(name: str) -> dict:
     if name == "dihedral":
-        return _run_dihedral(cfg)
+        return _run_dihedral()
     if name == "so3":
-        return _run_so3(cfg)
+        return _run_so3()
     raise KeyError(f"unknown example {name!r}")
 
 

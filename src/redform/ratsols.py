@@ -1,44 +1,33 @@
 """Rational solutions of first-order linear systems over Q(i)(x).
 
-Strategy: bound the denominator exponent at every singular irreducible factor
-(via local exponent analysis), bound the numerator degree via the analysis at
-infinity, then solve one exact linear system for the ansatz coefficients over
-the constants.  Every returned vector is verified by substitution, so the
-solver never returns a wrong solution; completeness holds whenever the
-configured windows cover the true local exponents (a warning is attached when
-a window may bind).
+Strategy: at every singular irreducible factor p of the system, and at
+infinity, compute the integer exponents a formal Laurent solution can have:
+the integer roots of the indicial polynomial of the local recurrence, reached
+by EG elimination (S. A. Abramov, "EG-eliminations", J. Difference Equations
+Appl. 5, 1999; M. A. Barkatou, "On rational solutions of systems of linear
+differential equations", J. Symbolic Comput. 28, 1999).  They bound the
+denominator and the numerator degree exactly, with no window.  One exact
+linear system over the constants then yields every rational solution, and
+each returned vector is also verified by substitution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .field import (GaussRational, UniPoly, RatFunc, Ring, QI_RING, GR_ZERO,
-                    UP_ONE)
+from .field import (GaussRational, UniPoly, RatFunc, QI_RING, RF_RING,
+                    GR_ZERO, UP_ZERO, UP_ONE)
 from .linalg import Mat, rref, nullspace, mat_vec, _clear_denominators
 from .diffsys import LinearDiffSystem, singular_points
 from .factor import irreducible_factors
 
-__all__ = ["BoundConfig", "RationalSolutionBasis", "rational_solutions",
+__all__ = ["RationalSolutionBasis", "rational_solutions",
            "log_derivative_rational"]
-
-
-@dataclass(frozen=True)
-class BoundConfig:
-    pole_exponent_window: int = 20
-    extra_denominator_slack: int = 2
-    numerator_degree_cap: int = 60
-
-    def __post_init__(self):
-        if min(self.pole_exponent_window, self.extra_denominator_slack,
-               self.numerator_degree_cap) < 0:
-            raise ValueError("bound parameters must be nonnegative")
 
 
 @dataclass(frozen=True)
 class RationalSolutionBasis:
     vectors: tuple   # tuples of RatFunc, each an exact solution
-    warnings: tuple = ()
 
     @property
     def dim(self):
@@ -46,153 +35,112 @@ class RationalSolutionBasis:
 
 
 # ---------------------------------------------------------------------------
-# arithmetic in the residue field Q(i)[x]/(p)
-
-
-class QuotRing:
-    def __init__(self, p: UniPoly):
-        self.p = p
-        zero = QuotElem(self, UniPoly())
-        one = QuotElem(self, UniPoly([1]))
-        self.ring = Ring(zero, one, True, f"Q(i)[x]/({p!r})")
-
-    def elem(self, poly: UniPoly):
-        return QuotElem(self, poly % self.p)
-
-
-class QuotElem:
-    __slots__ = ("qr", "poly")
-
-    def __init__(self, qr, poly):
-        self.qr = qr
-        self.poly = poly
-
-    def __add__(self, other):
-        return QuotElem(self.qr, self.poly + other.poly)
-
-    def __sub__(self, other):
-        return QuotElem(self.qr, self.poly - other.poly)
-
-    def __neg__(self):
-        return QuotElem(self.qr, -self.poly)
-
-    def __mul__(self, other):
-        return QuotElem(self.qr, (self.poly * other.poly) % self.qr.p)
-
-    def __truediv__(self, other):
-        return self * other.inverse()
-
-    def inverse(self):
-        # extended Euclid in Q(i)[x]
-        a, b = self.qr.p, self.poly
-        if b.is_zero():
-            raise ZeroDivisionError("inverse of zero residue")
-        s0, s1 = UniPoly(), UniPoly([1])
-        while not b.is_zero():
-            q, r = a.divmod(b)
-            a, b = b, r
-            s0, s1 = s1, s0 - q * s1
-        # a = gcd = unit since p irreducible and b nonzero mod p
-        if a.degree != 0:
-            raise ZeroDivisionError("non-invertible residue (reducible modulus?)")
-        inv_unit = a.coeffs[0].inverse()
-        return QuotElem(self.qr, (s0 * inv_unit) % self.qr.p)
-
-    def __eq__(self, other):
-        if isinstance(other, QuotElem):
-            return self.poly == other.poly
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.poly)
-
-    def is_zero(self):
-        return self.poly.is_zero()
-
-    def __repr__(self):
-        return f"QuotElem({self.poly!r})"
-
-
-def _reduce_ratfunc_mod(f: RatFunc, qr: QuotRing) -> QuotElem:
-    """Image of f in Q(i)[x]/(p); f must have no pole at p."""
-    den = qr.elem(f.den)
-    if den.is_zero():
-        raise ZeroDivisionError("reduction of a function with a pole at the modulus")
-    return qr.elem(f.num) * den.inverse()
-
-
-def residue_matrix(B: Mat, p: UniPoly) -> Mat:
-    """Residue of B at a simple-pole factor p, over the residue field."""
-    qr = QuotRing(p)
-    pf = RatFunc(p)
-    dp_inv = qr.elem(p.derivative()).inverse()
-    entries = [[_reduce_ratfunc_mod(e * pf, qr) * dp_inv for e in row]
-               for row in B.entries]
-    return Mat(qr.ring, entries)
-
-
-def _integer_eigen_scan(R: Mat, lo: int, hi: int):
-    """Integers lam in [lo, hi] with det(R - lam I) = 0 over the residue field."""
-    found = []
-    ring = R.ring
-    for lam in range(lo, hi + 1):
-        shift = Mat(ring, [[R.entries[i][j] - (ring.one * _qi_in_quot(ring, lam)
-                                               if i == j else ring.zero)
-                            for j in range(R.cols)] for i in range(R.rows)])
-        if shift.det().is_zero():
-            found.append(lam)
-    return found
-
-
-def _qi_in_quot(ring, k: int):
-    return QuotElem(ring.one.qr, UniPoly.const(GaussRational(k)))
-
-
-# ---------------------------------------------------------------------------
-# local exponent scan at a linear factor with pole order >= 2
+# local exponents at an irreducible factor p
 #
-# Plugging a Laurent ansatz sum_{m>=v} c_m s^m into Y' = B Y gives, for each
-# power s^w, the necessary relation
-#     (w+1) c_{w+1} = sum_{j=-q}^{w-v} B_j c_{w-j}
-# with B_j the Laurent coefficients of B.  Truncating to a finite block of
-# relations yields a necessary condition for a solution with exact valuation v
-# (a kernel vector with nonzero leading block); scanning v downward gives a
-# sound lower bound on attainable valuations within the window.
+# Let d = deg p and write p^q B = sum_k B_k p^k with digit matrices B_k of
+# degree < d.  A solution Y = sum_m y_m p^m, whose digit y_m in Q(i)^(nd)
+# holds the d coefficients of each of the n components, satisfies for all m
+#     sum_{k>=0} T_k(m) y_{m-k} = 0,
+#     T_k(m) = Lo(B_k) + Hi(B_{k-1}) - [k=q-1] (m-q+1) Lo(p')
+#              - [k=q] ((m-q) Hi(p') + Dm),
+# the coefficient of p^m in p^q (B Y - Y').  Lo(b) and Hi(b) are the matrices
+# of y -> b y mod p and y -> (b y) div p, and Dm differentiates a digit.  At
+# the lowest index v of a solution, T_0(v) y_v = 0.  EG elimination replaces
+# rows until T_0 is nonsingular over Q(i)(m); every new row is implied by the
+# relations for all m, so v is an integer root of det T_0.
 
 
-def _laurent_valuation_candidates(B: Mat, a: GaussRational, q: int,
-                                  window: int, depth_extra: int = 4):
-    n = B.rows
-    depth = q + depth_extra
-    # Taylor coefficients of (x-a)^q * B at a, indices 0..depth (Laurent -q..)
-    shift_pow = RatFunc(UniPoly([-a, GaussRational(1)])) ** q
-    series = [[(e * shift_pow).series(a, depth) for e in row] for row in B.entries]
-    Bj = [Mat(QI_RING, [[series[i][jj][t] for jj in range(n)] for i in range(n)])
-          for t in range(depth + 1)]  # Bj[t] is the coefficient of order t-q
+def _digits(f: RatFunc, p: UniPoly, count: int):
+    """The first `count` p-adic digits of f, which has no pole at p."""
+    num, den = f.num, f.den
+    inv = den.inverse_mod(p)
+    out = []
+    for _ in range(count):
+        c = (num * inv) % p
+        out.append(c)
+        num = (num - c * den) // p
+    return out
 
-    candidates = []
-    for v in range(-(window + q), 1):
-        nb = depth + 1  # unknown blocks c_v .. c_{v+depth}
-        rows = []
-        for t in range(nb):  # relation for power w = v - q + t
-            w = v - q + t
-            row = [[GR_ZERO] * (n * nb) for _ in range(n)]
-            for j in range(-q, t - q + 1):
-                blk = t - q - j
-                M = Bj[j + q]
-                for i in range(n):
-                    for jj in range(n):
-                        row[i][blk * n + jj] = row[i][blk * n + jj] - M.entries[i][jj]
-            blk_d = t + 1 - q
-            if 0 <= blk_d < nb:
-                c = GaussRational(w + 1)
-                for i in range(n):
-                    row[i][blk_d * n + i] = row[i][blk_d * n + i] + c
-            rows.extend(row)
-        kern = nullspace(Mat(QI_RING, rows))
-        if any(any(vec[i] for i in range(n)) for vec in kern):
-            candidates.append(v)
-    return candidates
+
+def _lo_hi(c: UniPoly, p: UniPoly):
+    """Lo(c) and Hi(c) by columns: entry [b][a] is the x^a coefficient of
+    (c x^b) mod p, respectively of (c x^b) div p."""
+    d = p.degree
+    lo, hi = [], []
+    for b in range(d):
+        quo, rem = (c * UniPoly([0] * b + [1])).divmod(p)
+        lo.append(rem.coeffs + (GR_ZERO,) * (d - len(rem.coeffs)))
+        hi.append(quo.coeffs + (GR_ZERO,) * (d - len(quo.coeffs)))
+    return lo, hi
+
+
+def _local_recurrence(B: Mat, p: UniPoly, q: int, K: int):
+    """rows[r][k] is row r of T_k(m), k = 0..K, with entries in Q(i)[m]."""
+    n, d = B.rows, p.degree
+    pq = RatFunc(p ** q)
+    rows = [[[UP_ZERO] * (n * d) for _ in range(K + 1)] for _ in range(n * d)]
+    for i, brow in enumerate(B.entries):
+        for j, e in enumerate(brow):
+            lohi = [_lo_hi(c, p) for c in _digits(e * pq, p, K + 1)]
+            for k in range(K + 1):
+                for a in range(d):
+                    for b in range(d):
+                        v = lohi[k][0][b][a]
+                        if k:
+                            v = v + lohi[k - 1][1][b][a]
+                        rows[i * d + a][k][j * d + b] = UniPoly([v])
+    lo, hi = _lo_hi(p.derivative(), p)
+    for i in range(n):
+        for a in range(d):
+            r = rows[i * d + a]
+            for b in range(d):
+                c = i * d + b
+                dm = b if a == b - 1 else 0
+                r[q - 1][c] = r[q - 1][c] - UniPoly([(1 - q) * lo[b][a],
+                                                     lo[b][a]])
+                r[q][c] = r[q][c] - UniPoly([dm - q * hi[b][a], hi[b][a]])
+    return rows
+
+
+def _eg_eliminate(rows):
+    """T_0 over Q(i)(m) once it is nonsingular, or None when a combined row
+    needs a block beyond the expanded ones.
+
+    Each left kernel vector of T_0, cleared to polynomials in m, combines the
+    rows into one whose T_0 block is zero; that block is dropped and m -> m+1
+    substituted.  The combination replaces the row at the vector's last
+    nonzero coefficient, its free index, which no other kernel vector uses.
+    """
+    while True:
+        T0 = Mat(RF_RING, [[RatFunc(e) for e in row[0]] for row in rows])
+        kernel = nullspace(T0.transpose())
+        if not kernel:
+            return T0
+        for u in kernel:
+            _, width, (flat,) = _clear_denominators([u])
+            coeffs = [UniPoly(flat[r * width:(r + 1) * width])
+                      for r in range(len(u))]
+            support = [r for r, c in enumerate(coeffs) if not c.is_zero()]
+            length = min(len(rows[r]) for r in support) - 1
+            if length == 0:
+                return None
+            rows[support[-1]] = [
+                [sum((coeffs[r] * rows[r][k][col] for r in support),
+                     UP_ZERO).shift(GaussRational(1))
+                 for col in range(len(u))]
+                for k in range(1, length + 1)]
+
+
+def _local_exponents(B: Mat, p: UniPoly, q: int):
+    """Sorted integers v such that Y' = B Y may have a formal solution
+    sum_{m>=v} y_m p^m with y_v != 0, at the irreducible factor p, where
+    q >= 1 and p^q B has no pole at p."""
+    K = q + 1
+    while (T0 := _eg_eliminate(_local_recurrence(B, p, q, K))) is None:
+        K *= 2
+    return sorted(int(-f.coeffs[0].re)
+                  for f, _ in irreducible_factors(T0.det().num)
+                  if f.degree == 1 and f.coeffs[0].is_integer())
 
 
 # ---------------------------------------------------------------------------
@@ -212,101 +160,42 @@ def _infinity_system(B: Mat) -> Mat:
     return B.map(lambda e: -_substitute_reciprocal(e) / t2)
 
 
-def _linear_root(p: UniPoly):
-    """Root of a degree-1 monic polynomial."""
-    return -p.coeffs[0]
-
-
-def _denominator_bound(B: Mat, p: UniPoly, order: int, cfg: BoundConfig,
-                       warnings: list, label: str):
-    """Local exponent bound at one irreducible factor: returns D_p >= 0."""
-    w, slack = cfg.pole_exponent_window, cfg.extra_denominator_slack
-    if order == 1:
-        R = residue_matrix(B, p)
-        roots = _integer_eigen_scan(R, -w, 0)
-        lam_min = min(roots) if roots else 0
-        if roots and min(roots) == -w:
-            warnings.append(
-                f"integer exponent scan at {label} hit the window edge -{w}; "
-                f"increase pole_exponent_window if solutions look incomplete")
-        return max(0, -lam_min) + slack
-    if p.degree == 1:
-        a = _linear_root(p)
-        cands = _laurent_valuation_candidates(B, a, order, w)
-        v_min = min(cands) if cands else 0
-        warnings.append(
-            f"higher-order pole (order {order}) at {label}: windowed local "
-            f"exponent scan used (window {w}, slack {slack})")
-        return max(0, -v_min) + slack
-    warnings.append(
-        f"higher-order pole (order {order}) at non-linear factor {label}: "
-        f"bound analysis inconclusive, using order + window ({order} + {w})")
-    return order + w
-
-
-def _factor_label(p: UniPoly, var: str) -> str:
-    from .parsing import format_poly
-    return format_poly(p, var)
-
-
 _solution_cache: dict = {}
 
 
-def rational_solutions(sys: LinearDiffSystem,
-                       cfg: BoundConfig = BoundConfig()) -> RationalSolutionBasis:
-    """Basis of rational solutions of Y' = B Y within the configured bounds.
+def rational_solutions(sys: LinearDiffSystem) -> RationalSolutionBasis:
+    """Basis of all rational solutions of Y' = B Y.
 
     Solutions are normalized to reduced echelon form over the constants;
     every vector is verified by exact substitution before being returned.
-    Results are memoized per (system, bounds); the returned basis is
-    immutable, so sharing is safe.
+    Results are memoized per system; the returned basis is immutable, so
+    sharing is safe.
     """
-    key = (sys.var, tuple(tuple(r) for r in sys.matrix.entries), cfg)
+    key = (sys.var, tuple(tuple(r) for r in sys.matrix.entries))
     cached = _solution_cache.get(key)
     if cached is not None:
         return cached
-    result = _rational_solutions(sys, cfg)
+    result = _rational_solutions(sys)
     _solution_cache[key] = result
     return result
 
 
-def _rational_solutions(sys: LinearDiffSystem,
-                        cfg: BoundConfig) -> RationalSolutionBasis:
+def _rational_solutions(sys: LinearDiffSystem) -> RationalSolutionBasis:
     B = sys.matrix
     n = B.rows
-    warnings: list = []
 
-    # denominator bound per singular factor
+    # a solution has a pole of order at most -min(exponents) at p
     den = UP_ONE
     for p, order in singular_points(sys):
-        dp = _denominator_bound(B, p, order, cfg, warnings,
-                                _factor_label(p, sys.var))
-        den = den * p ** dp
+        den = den * p ** max(0, -min(_local_exponents(B, p, order), default=0))
 
-    # numerator degree bound from the analysis at infinity
+    # deg psi - deg den is at most -min(exponents at t = 1/x)
     C = _infinity_system(B)
-    t_poly = UniPoly.x()
-    inf_order = max((e.den.multiplicity(t_poly) for row in C.entries
+    t = UniPoly.x()
+    inf_order = max((e.den.multiplicity(t) for row in C.entries
                      for e in row if not e.is_zero()), default=0)
-    w, slack, cap = (cfg.pole_exponent_window, cfg.extra_denominator_slack,
-                     cfg.numerator_degree_cap)
-    if inf_order == 0:
-        growth = 0
-    elif inf_order == 1:
-        R = residue_matrix(C, t_poly)
-        roots = _integer_eigen_scan(R, -w, 0)
-        growth = max(0, -min(roots)) if roots else 0
-    else:
-        cands = _laurent_valuation_candidates(C, GR_ZERO, inf_order, w)
-        growth = max(0, -min(cands)) if cands else 0
-        warnings.append(
-            f"higher-order behavior at infinity (order {inf_order}): windowed "
-            f"local exponent scan used (window {w}, slack {slack})")
-    E = min(den.degree + growth + slack, cap)
-    if den.degree + growth + slack > cap:
-        warnings.append(
-            f"numerator degree bound capped at {cap} "
-            f"(analysis suggested {den.degree + growth + slack})")
+    E = den.degree + max(0, -min(_local_exponents(C, t, max(inf_order, 1)),
+                                 default=0))
 
     # reduced echelon basis of the (independent) kernel rows; block j is psi_j
     red, _ = rref(Mat(QI_RING, _solve_ansatz(B, den, E)))
@@ -319,13 +208,17 @@ def _rational_solutions(sys: LinearDiffSystem,
         rhs = mat_vec(B, list(vec))
         if lhs != rhs:
             raise AssertionError("solver produced a non-solution (internal error)")
-    return RationalSolutionBasis(tuple(tuple(v) for v in vectors),
-                                 tuple(warnings))
+    return RationalSolutionBasis(tuple(tuple(v) for v in vectors))
 
 
 def _solve_ansatz(B: Mat, den: UniPoly, E: int):
     """Kernel rows for all phi = psi/den with polynomial psi, deg <= E, solving
-    phi' = B phi; row block j holds the coefficients of psi_j."""
+    phi' = B phi; row block j holds the coefficients of psi_j.
+
+    The system is built with equations and unknowns interleaved by degree
+    (equation k*n + i is the x^k coefficient of component i, unknown d*n + j
+    the x^d coefficient of psi_j), which makes it banded and keeps the fill
+    of the elimination small."""
     n = B.rows
     dlog = RatFunc(den.derivative()) / RatFunc(den)  # den'/den, reduced
     mult, width, (cleared,) = _clear_denominators(
@@ -341,26 +234,27 @@ def _solve_ansatz(B: Mat, den: UniPoly, E: int):
     rows = [[GR_ZERO] * ncols for _ in range(n * nrows_per_comp)]
 
     def add_poly(comp, col, poly: UniPoly, sign=1):
-        base = comp * nrows_per_comp
         for k, c in enumerate(poly.coeffs):
             if c:
-                rows[base + k][col] = rows[base + k][col] + (c if sign > 0 else -c)
+                r = k * n + comp
+                rows[r][col] = rows[r][col] + (c if sign > 0 else -c)
 
     xsh = UniPoly.x()
     for j in range(n):
         for d in range(E + 1):
-            col = j * (E + 1) + d
+            col = d * n + j
             xd = xsh ** d
-            # - B_ij * mult * x^d  on equation block i
+            # - B_ij * mult * x^d  in the equations of component i
             for i in range(n):
                 if not Bpoly[i][j].is_zero():
                     add_poly(i, col, Bpoly[i][j] * xd, sign=-1)
-            # derivative and logarithmic-derivative terms on block j
+            # derivative and logarithmic-derivative terms in component j
             if d > 0:
                 add_poly(j, col, mult * (xsh ** (d - 1)) * GaussRational(d))
             add_poly(j, col, r_poly * xd, sign=-1)
 
-    return nullspace(Mat(QI_RING, rows))
+    return [[v[d * n + j] for j in range(n) for d in range(E + 1)]
+            for v in nullspace(Mat(QI_RING, rows))]
 
 
 def log_derivative_rational(f: RatFunc):
@@ -373,12 +267,12 @@ def log_derivative_rational(f: RatFunc):
     for p, mult in irreducible_factors(f.den):
         if mult > 1:
             return None
-        qr = QuotRing(p)
-        res = _reduce_ratfunc_mod(f * RatFunc(p), qr) * \
-            qr.elem(p.derivative()).inverse()
-        if res.poly.degree > 0:
+        # residue of f at p: (p f) / p' mod p
+        g = f * RatFunc(p)
+        res = (g.num * (g.den * p.derivative()).inverse_mod(p)) % p
+        if res.degree > 0:
             return None
-        c = res.poly.coeffs[0] if res.poly.coeffs else GR_ZERO
+        c = res.coeffs[0] if res.coeffs else GR_ZERO
         if not c.is_integer():
             return None
         u = u * RatFunc(p) ** int(c.re)

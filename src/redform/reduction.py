@@ -22,7 +22,7 @@ from .constructions import (apply_algebra, apply_group, sym_monomials,
                             format_construction, Sym, Ext, Tensor, Dual, DSum,
                             ConstructionError)
 from .weinorman import decompose, WeiNormanDecomposition
-from .ratsols import (BoundConfig, rational_solutions, log_derivative_rational)
+from .ratsols import rational_solutions, log_derivative_rational
 from .parsing import format_ratfunc, format_gauss
 
 __all__ = ["InvariantSolution", "ReductionCertificate", "PolySystemExport",
@@ -61,7 +61,6 @@ class ReductionCertificate:
     verdict: bool
     witnesses: tuple        # witnesses[k][i] = const_k(M_i) . v_k
     constructions: tuple
-    warnings: tuple = ()
 
     def to_json_dict(self, var):
         return {
@@ -71,7 +70,6 @@ class ReductionCertificate:
             "invariants": [inv.to_json_dict(var) for inv in self.invariants],
             "witnesses": [[[format_gauss(c) for c in w] for w in per_inv]
                           for per_inv in self.witnesses],
-            "warnings": list(self.warnings),
         }
 
 
@@ -214,25 +212,21 @@ def _contains_dual(expr) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _collect_invariants(sys: LinearDiffSystem, constructions, z0, cfg):
+def _collect_invariants(sys: LinearDiffSystem, constructions, z0):
     """Rational solutions of each Y' = const_e(A) Y, evaluated at z0.
 
-    Returns (invariants, warnings); a pole of an invariant at z0 raises
-    ZeroDivisionError.
+    A pole of an invariant at z0 raises ZeroDivisionError.
     """
     invariants = []
-    warnings = []
     for e in constructions:
         B = apply_algebra(e, sys.matrix)
-        basis = rational_solutions(LinearDiffSystem(B, sys.var), cfg)
-        warnings.extend(f"{format_construction(e)}: {w}" for w in basis.warnings)
+        basis = rational_solutions(LinearDiffSystem(B, sys.var))
         invariants.extend(InvariantSolution(e, phi, tuple(f.eval(z0) for f in phi),
                                             z0) for phi in basis.vectors)
-    return invariants, warnings
+    return invariants
 
 
-def is_reduced(sys: LinearDiffSystem, constructions,
-               cfg: BoundConfig = BoundConfig()) -> ReductionCertificate:
+def is_reduced(sys: LinearDiffSystem, constructions) -> ReductionCertificate:
     """Constant-invariant criterion relative to the supplied constructions.
 
     For each construction e the rational solutions of Y' = const_e(A) Y are
@@ -246,7 +240,7 @@ def is_reduced(sys: LinearDiffSystem, constructions,
         raise ValueError("at least one construction is required")
     z0 = pick_ordinary_point(sys)
     deco = decompose(sys)
-    invariants, warnings = _collect_invariants(sys, constructions, z0, cfg)
+    invariants = _collect_invariants(sys, constructions, z0)
 
     witnesses = []
     witnesses_zero = True
@@ -263,8 +257,7 @@ def is_reduced(sys: LinearDiffSystem, constructions,
     constant = all(inv.is_constant() for inv in invariants)
     return ReductionCertificate(deco, tuple(invariants),
                                 constant and witnesses_zero,
-                                tuple(witnesses), constructions,
-                                tuple(warnings))
+                                tuple(witnesses), constructions)
 
 
 def normalize_trace(sys: LinearDiffSystem):
@@ -411,8 +404,8 @@ class VerificationReport:
         }
 
 
-def verify_reduction(sys: LinearDiffSystem, P: Mat, constructions,
-                     cfg: BoundConfig = BoundConfig()) -> VerificationReport:
+def verify_reduction(sys: LinearDiffSystem, P: Mat,
+                     constructions) -> VerificationReport:
     """Gauge by P, certify the result, and check the invariant identities.
 
     Besides running the constant-invariant criterion on P[A], this checks that
@@ -420,14 +413,17 @@ def verify_reduction(sys: LinearDiffSystem, P: Mat, constructions,
     system (const(N) . phi = 0), which is exactly the property a reduction
     matrix must have.
     """
-    gauged = gauge_transform(P, sys)
-    cert = is_reduced(gauged, constructions, cfg)
-    N = matrix_derivative(P) * P.inverse() - sys.matrix
+    # P[A] = P^-1 (A P - P') as in gauge_transform, sharing P^-1 with N
+    dP = matrix_derivative(P)
+    P_inv = P.inverse()
+    gauged = LinearDiffSystem(P_inv * (sys.matrix * P - dP), sys.var)
+    cert = is_reduced(gauged, constructions)
+    N = dP * P_inv - sys.matrix
     checks = []
     all_hold = True
     for e in constructions:
         B = apply_algebra(e, sys.matrix)
-        basis = rational_solutions(LinearDiffSystem(B, sys.var), cfg)
+        basis = rational_solutions(LinearDiffSystem(B, sys.var))
         cn = apply_algebra(e, N)
         for phi in basis.vectors:
             w = mat_vec(cn, list(phi))

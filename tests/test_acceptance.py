@@ -281,7 +281,12 @@ def test_criterion_9_certificate_soundness():
                     assert all(c == GaussRational(0) for c in w)
     assert true_seen >= 4
 
-    # negated check: the unreduced 3x3 system is rejected
+    # negated check: the unreduced 3x3 system is rejected, and so are scalar
+    # systems whose invariant x^25 has an exponent of absolute value above 20
     assert is_reduced(so3, [SYM2]).verdict is False
+    scalar = LinearDiffSystem.from_strings([["25/x"]], "x")
+    assert is_reduced(scalar, [Id()]).verdict is False
+    half = LinearDiffSystem.from_strings([["25/(2*x)"]], "x")
+    assert is_reduced(half, [SYM2]).verdict is False
     print(f"PASS criterion 9: witnesses vanish on all {true_seen} true "
           f"verdicts; unreduced system rejected")

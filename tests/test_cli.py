@@ -169,9 +169,26 @@ def test_bad_construction_dsl(sys_file, capsys):
     assert code == 2
 
 
-def test_bad_bounds(sys_file, capsys):
-    code, _, _ = run(capsys, "ratsols", "--bounds", "1,2", sys_file)
-    assert code == 2
+def test_gaussian_z0(sys_file, tmp_path, capsys):
+    code, out, _ = run(capsys, "series", "--z0", "1+i", "--order", "2",
+                       sys_file)
+    assert code == 0
+    assert json.loads(out)["z0"] == "(1+i)"
+    out_path = tmp_path / "system.txt"
+    code, _, _ = run(capsys, "export-s", sys_file, "--z0", "1+i",
+                     "--out", str(out_path))
+    assert code == 0
+    code, _, err = run(capsys, "series", "--z0", "x", sys_file)
+    assert code == 2 and "not a constant" in err
+
+
+def test_internal_error_exit_code(sys_file, capsys, monkeypatch):
+    def broken(*args):
+        raise AssertionError("solver produced a non-solution")
+    monkeypatch.setattr("redform.cli.rational_solutions", broken)
+    code, out, err = run(capsys, "ratsols", sys_file)
+    assert code == 3
+    assert out == "" and "internal error" in err
 
 
 def test_example_dihedral_matches_golden(capsys, tmp_path):

@@ -13,15 +13,20 @@ def x_minus(c):
 
 
 def test_splits_over_gaussian_rationals():
-    # x^2 + 1 = (x - i)(x + i)
-    p = UniPoly.x() ** 2 + UP_ONE
-    factors = irreducible_factors(p)
-    assert sorted(f.degree for f, _ in factors) == [1, 1]
-    assert {m for _, m in factors} == {1}
-    prod = UP_ONE
-    for f, m in factors:
-        prod = prod * f ** m
-    assert prod == p
+    # x^2 + 1 = (x - i)(x + i); x^4 + 4 = (x - 1 - i)(x - 1 + i)(x + 1 - i)
+    # (x + 1 + i); x^2 - 2 stays irreducible; a Gaussian input
+    cases = [("x^2+1", [(1, 1), (1, 1)]),
+             ("x^4+4", [(1, 1)] * 4),
+             ("(x^2+1)^2*(x^2-2)*(x-3)", [(1, 1), (1, 2), (1, 2), (2, 1)]),
+             ("(x-i)^2*(x+1)", [(1, 1), (1, 2)])]
+    for text, shape in cases:
+        p = parse_ratfunc(text, "x").num
+        factors = irreducible_factors(p)
+        assert sorted((f.degree, m) for f, m in factors) == shape
+        prod = UP_ONE
+        for f, m in factors:
+            prod = prod * f ** m
+        assert prod == p
 
 
 def test_multiplicities():

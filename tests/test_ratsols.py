@@ -1,13 +1,10 @@
 """Rational solutions of first-order systems."""
 
-import pytest
-
 from redform.field import GaussRational, UniPoly, RatFunc, Q
 from redform.linalg import mat_vec
 from redform.diffsys import LinearDiffSystem, gauge_transform
-from redform.ratsols import (BoundConfig, rational_solutions,
-                             log_derivative_rational, residue_matrix,
-                             _integer_eigen_scan)
+from redform.ratsols import (rational_solutions, log_derivative_rational,
+                             _local_exponents)
 
 from conftest import rf, mat, same_span, random_invertible_poly_mat
 
@@ -19,19 +16,16 @@ def diag_power_system(exponents):
     return LinearDiffSystem.from_strings(rows, "x")
 
 
-def test_bound_config_validation():
-    with pytest.raises(ValueError):
-        BoundConfig(-1, 2, 60)
-    cfg = BoundConfig()
-    assert (cfg.pole_exponent_window, cfg.extra_denominator_slack,
-            cfg.numerator_degree_cap) == (20, 2, 60)
-
-
 def test_scalar_power_solutions():
     basis = rational_solutions(diag_power_system([2]))
     assert same_span(basis.vectors, [[rf("x^2")]])
     basis = rational_solutions(diag_power_system([-3]))
     assert same_span(basis.vectors, [[rf("1/x^3")]])
+    # exponents far from the pole and from infinity are found exactly
+    for k in (21, -21, 25, -25, 61):
+        basis = rational_solutions(diag_power_system([k]))
+        expected = rf("x") ** k if k > 0 else rf("1/x") ** (-k)
+        assert same_span(basis.vectors, [[expected]])
 
 
 def test_diagonal_system_full_basis():
@@ -61,8 +55,9 @@ def test_solutions_verified_exactly(rng):
 
 
 def test_gauged_diagonal_oracle(rng):
-    for _ in range(8):
-        exps = [rng.randint(-3, 3) for _ in range(2)]
+    cases = [[-40, 21]] + [[rng.randint(-40, 40) for _ in range(2)]
+                           for _ in range(7)]
+    for exps in cases:
         sys = diag_power_system(exps)
         P = random_invertible_poly_mat(rng, 2, 1)
         gauged = gauge_transform(P, sys)
@@ -87,16 +82,7 @@ def test_echelon_normalization():
 
 def test_residue_matrix_integer_eigenvalues():
     sys = diag_power_system([2, -1])
-    p = UniPoly.x()
-    R = residue_matrix(sys.matrix, p)
-    assert _integer_eigen_scan(R, -5, 5) == [-1, 2]
-
-
-def test_numerator_cap_warning():
-    cfg = BoundConfig(20, 2, 1)
-    basis = rational_solutions(diag_power_system([3]), cfg)
-    assert basis.dim == 0
-    assert any("capped" in w for w in basis.warnings)
+    assert _local_exponents(sys.matrix, UniPoly.x(), 1) == [-1, 2]
 
 
 def test_higher_order_pole():
@@ -105,7 +91,12 @@ def test_higher_order_pole():
     basis = rational_solutions(sys)
     assert same_span(basis.vectors, [[rf("1/x^2"), rf("1/x")],
                                      [rf("1"), rf("0")]])
-    assert any("higher-order pole" in w for w in basis.warnings)
+    # the same at an order-2 pole of the non-linear factor p = x^2 - 2
+    sys = LinearDiffSystem.from_strings(
+        [["0", "-4*x/(x^2-2)^2"], ["0", "-2*x/(x^2-2)"]], "x")
+    basis = rational_solutions(sys)
+    assert same_span(basis.vectors, [[rf("1/(x^2-2)^2"), rf("1/(x^2-2)")],
+                                     [rf("1"), rf("0")]])
 
 
 def test_log_derivative_rational():

@@ -290,6 +290,21 @@ def test_verify_reduction_singular_matrix(dihedral):
                          [Sym(2, Id())])
 
 
+def test_verify_reduction_inverts_once(monkeypatch):
+    from redform.diffsys import substitute_power
+    sys = substitute_power(builtin_system("dihedral"), 2)
+    P, _ = builtin_reduction_matrices("dihedral")[0]
+    calls = []
+    inverse = Mat.inverse
+
+    def counted(self):
+        calls.append(self)
+        return inverse(self)
+    monkeypatch.setattr(Mat, "inverse", counted)
+    assert verify_reduction(sys, P, [Sym(2, Id())]).ok
+    assert len(calls) == 1
+
+
 def test_verify_reduction_dihedral_t():
     from redform.diffsys import substitute_power
     sys_t = substitute_power(builtin_system("dihedral"), 2)
