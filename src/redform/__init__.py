@@ -7,7 +7,7 @@ reduced-form certificate.
 """
 
 from .field import GaussRational, UniPoly, RatFunc, Ring, QI_RING, RF_RING
-from .linalg import Mat, rref, nullspace, mat_vec
+from .linalg import Mat, SingularMatrixError, rref, nullspace, solve, mat_vec
 from .parsing import ParseError, parse_ratfunc, format_ratfunc
 from .factor import irreducible_factors
 from .diffsys import (LinearDiffSystem, SeriesFundamentalMatrix,

@@ -17,7 +17,7 @@ import sys as _sys
 import traceback
 
 from .field import GaussRational
-from .linalg import Mat
+from .linalg import Mat, SingularMatrixError
 from .parsing import ParseError, parse_ratfunc, format_ratfunc, format_gauss
 from .diffsys import (LinearDiffSystem, gauge_transform, series_solution,
                       substitute_power, pick_ordinary_point,
@@ -57,11 +57,15 @@ def _load_system(path) -> LinearDiffSystem:
         raise InputError(f"{path}: malformed system file: {e}") from None
 
 
-def _load_matrix(path, var) -> Mat:
+def _load_matrix(path, sys: LinearDiffSystem) -> Mat:
+    """A square matrix of the system's size and variable, e.g. a gauge matrix."""
     sys_like = _load_system(path)
-    if sys_like.var != var:
-        raise InputError(
-            f"{path}: matrix uses variable {sys_like.var!r}, system uses {var!r}")
+    if sys_like.var != sys.var:
+        raise InputError(f"{path}: matrix uses variable {sys_like.var!r}, "
+                         f"system uses {sys.var!r}")
+    if sys_like.size != sys.size:
+        raise InputError(f"{path}: {sys_like.size}x{sys_like.size} matrix "
+                         f"for a {sys.size}x{sys.size} system")
     return sys_like.matrix
 
 
@@ -169,12 +173,11 @@ def _cmd_check_reduced(args):
 
 def _cmd_gauge(args):
     sys = _load_system(args.system)
-    P = _load_matrix(args.p, sys.var)
-    det = P.det()
-    if det.is_zero():
-        raise InputError(
-            f"singular gauge matrix (det = {format_ratfunc(det, sys.var)})")
-    gauged = gauge_transform(P, sys)
+    P = _load_matrix(args.p, sys)
+    try:
+        gauged = gauge_transform(P, sys)
+    except SingularMatrixError:
+        raise InputError("singular gauge matrix (det = 0)") from None
     _emit(gauged.to_json_dict(), args, "gauged system computed")
     return 0
 
@@ -237,12 +240,11 @@ def _cmd_export_s(args):
 def _cmd_verify_reduction(args):
     sys = _load_system(args.system)
     exprs = _parse_constructions(args, default="sym(2,id)")
-    P = _load_matrix(args.p, sys.var)
-    det = P.det()
-    if det.is_zero():
-        raise InputError(
-            f"singular candidate matrix (det = {format_ratfunc(det, sys.var)})")
-    report = verify_reduction(sys, P, exprs)
+    P = _load_matrix(args.p, sys)
+    try:
+        report = verify_reduction(sys, P, exprs)
+    except SingularMatrixError:
+        raise InputError("singular candidate matrix (det = 0)") from None
     _emit(report.to_json_dict(), args,
           f"verification {'passed' if report.ok else 'failed'}")
     if args.expect_reduced and not report.ok:

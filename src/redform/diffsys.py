@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 
 from .field import GaussRational, UniPoly, RatFunc, RF_RING, QI_RING, Q
-from .linalg import Mat
+from .linalg import Mat, solve
 from .parsing import parse_ratfunc, format_ratfunc
 from .factor import irreducible_factors
 
@@ -93,11 +93,12 @@ def matrix_derivative(m: Mat) -> Mat:
 
 
 def gauge_transform(P: Mat, sys: LinearDiffSystem) -> LinearDiffSystem:
-    """P[A] = P^-1 (A P - P'); raises on singular P."""
-    if not P.is_square() or P.rows != sys.size:
-        raise ValueError("gauge matrix shape mismatch")
-    B = P.inverse() * (sys.matrix * P - matrix_derivative(P))
-    return LinearDiffSystem(B, sys.var)
+    """P[A] = P^-1 (A P - P'), solved from P X = A P - P' without inverting P.
+
+    Raises SingularMatrixError on a singular P and ValueError on a mis-shaped one.
+    """
+    return LinearDiffSystem(solve(P, sys.matrix * P - matrix_derivative(P)),
+                            sys.var)
 
 
 def singular_points(sys: LinearDiffSystem):

@@ -1,24 +1,14 @@
-"""Polynomial factorization over Q(i), delegated to sympy's QQ and QQ_I domains."""
+"""Polynomial factorization over Q(i), delegated to sympy's QQ and QQ_I domains.
+
+sympy is imported on the first factorization, not with the package: gauging,
+constructions and series never factor and need not pay for loading it.
+"""
 
 from __future__ import annotations
-
-from sympy.polys.domains import QQ, QQ_I
-from sympy.polys.factortools import dup_factor_list
 
 from .field import GaussRational, UniPoly, Q
 
 __all__ = ["irreducible_factors"]
-
-
-def _to_dense(p: UniPoly):
-    """Coefficients of p as QQ_I elements, highest degree first."""
-    return [
-        QQ_I.new(
-            QQ_I.dom.new(int(c.re.numerator), int(c.re.denominator)),
-            QQ_I.dom.new(int(c.im.numerator), int(c.im.denominator)),
-        )
-        for c in reversed(p.coeffs)
-    ]
 
 
 def _from_dense(cs) -> UniPoly:
@@ -29,8 +19,13 @@ def _from_dense(cs) -> UniPoly:
 
 
 def _factor_over_qi(p: UniPoly):
+    from sympy.polys.domains import QQ_I
+    from sympy.polys.factortools import dup_factor_list
+    dense = [QQ_I.new(QQ_I.dom.new(int(c.re.numerator), int(c.re.denominator)),
+                      QQ_I.dom.new(int(c.im.numerator), int(c.im.denominator)))
+             for c in reversed(p.coeffs)]
     return [(_from_dense(f), mult)
-            for f, mult in dup_factor_list(_to_dense(p), QQ_I)[1]]
+            for f, mult in dup_factor_list(dense, QQ_I)[1]]
 
 
 def irreducible_factors(p: UniPoly):
@@ -46,6 +41,8 @@ def irreducible_factors(p: UniPoly):
         raise ValueError("cannot factor the zero polynomial")
     if p.degree <= 0:
         return []
+    from sympy.polys.domains import QQ
+    from sympy.polys.factortools import dup_factor_list
     if any(c.im for c in p.coeffs):
         factors = _factor_over_qi(p)
     else:

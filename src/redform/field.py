@@ -13,20 +13,7 @@ try:
 except ImportError:  # pragma: no cover
     from fractions import Fraction as Q
 
-from math import isqrt
-
 __all__ = ["Q", "GaussRational", "UniPoly", "RatFunc", "Ring", "QI_RING", "RF_RING"]
-
-
-def _rat_sqrt(q):
-    """Exact square root of a nonnegative rational, or None."""
-    if q < 0:
-        return None
-    n, d = int(q.numerator), int(q.denominator)
-    rn, rd = isqrt(n), isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Q(rn, rd)
-    return None
 
 
 class GaussRational:
@@ -133,24 +120,6 @@ class GaussRational:
 
     def is_integer(self):
         return self.im == 0 and self.re.denominator == 1
-
-    def sqrt(self):
-        """A square root in Q(i) if one exists, else None."""
-        if not self:
-            return GaussRational(0)
-        n = _rat_sqrt(self.norm())
-        if n is None:
-            return None
-        p2 = (self.re + n) / 2
-        p = _rat_sqrt(p2)
-        if p is None:
-            return None
-        if p == 0:
-            q = _rat_sqrt(-self.re)
-            if q is None:
-                return None
-            return GaussRational(0, q)
-        return GaussRational(p, self.im / (2 * p))
 
     def __repr__(self):
         if self.im == 0:
@@ -514,18 +483,6 @@ class RatFunc:
     def compose_power(self, k):
         """Substitution x -> x^k."""
         return RatFunc(self.num.compose_power(k), self.den.compose_power(k))
-
-    def valuation(self, p):
-        """p-adic valuation at the irreducible factor p (0 for the zero function)."""
-        if self.is_zero():
-            return 0
-        return self.num.multiplicity(p) - self.den.multiplicity(p)
-
-    def degree_at_infinity(self):
-        """deg(num) - deg(den); very negative for 0."""
-        if self.is_zero():
-            return None
-        return self.num.degree - self.den.degree
 
     def __repr__(self):
         return f"RatFunc({self.num!r}, {self.den!r})"

@@ -9,7 +9,12 @@ from __future__ import annotations
 
 from .field import Ring, GaussRational, GR_ZERO, UP_ONE
 
-__all__ = ["Mat", "rref", "nullspace", "mat_vec"]
+__all__ = ["Mat", "SingularMatrixError", "rref", "nullspace", "solve",
+           "mat_vec"]
+
+
+class SingularMatrixError(ValueError):
+    """A linear solve met a singular coefficient matrix."""
 
 
 class Mat:
@@ -110,16 +115,8 @@ class Mat:
         return _det_cofactor(self.ring, self.entries)
 
     def inverse(self):
-        """Inverse, read off the reduced echelon form of [M | I]."""
-        if not self.is_square():
-            raise ValueError("inverse of a non-square matrix")
-        n = self.rows
-        ident = Mat.identity(self.ring, n).entries
-        red, pivots = rref(Mat(self.ring, [r + e for r, e in
-                                           zip(self.entries, ident)]))
-        if pivots[:n] != list(range(n)):
-            raise ValueError("singular matrix")
-        return Mat(self.ring, [r[n:] for r in red.entries])
+        """M^-1, solved from M X = I."""
+        return solve(self, Mat.identity(self.ring, self.rows))
 
     def is_zero(self):
         return all(a == self.ring.zero for r in self.entries for a in r)
@@ -225,6 +222,17 @@ def rref(m: Mat):
         pivots.append(col)
         prow += 1
     return Mat(ring, work), pivots
+
+
+def solve(m: Mat, b: Mat) -> Mat:
+    """X with m X = b for a square invertible m, read off rref([m | b])."""
+    if not m.is_square() or m.rows != b.rows:
+        raise ValueError("shape mismatch in linear solve")
+    n = m.rows
+    red, pivots = rref(Mat(m.ring, [r + s for r, s in zip(m.entries, b.entries)]))
+    if pivots[:n] != list(range(n)):
+        raise SingularMatrixError("singular matrix")
+    return Mat(m.ring, [r[n:] for r in red.entries])
 
 
 def nullspace(m: Mat):

@@ -14,6 +14,7 @@ each returned vector is also verified by substitution.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .field import (GaussRational, UniPoly, RatFunc, QI_RING, RF_RING,
                     GR_ZERO, UP_ZERO, UP_ONE)
@@ -160,27 +161,16 @@ def _infinity_system(B: Mat) -> Mat:
     return B.map(lambda e: -_substitute_reciprocal(e) / t2)
 
 
-_solution_cache: dict = {}
-
-
+@lru_cache(maxsize=16)
 def rational_solutions(sys: LinearDiffSystem) -> RationalSolutionBasis:
     """Basis of all rational solutions of Y' = B Y.
 
     Solutions are normalized to reduced echelon form over the constants;
     every vector is verified by exact substitution before being returned.
-    Results are memoized per system; the returned basis is immutable, so
-    sharing is safe.
+    The last 16 results are memoized per system (a certificate's check and
+    verify steps solve the same systems); the returned basis is immutable,
+    so sharing is safe.
     """
-    key = (sys.var, tuple(tuple(r) for r in sys.matrix.entries))
-    cached = _solution_cache.get(key)
-    if cached is not None:
-        return cached
-    result = _rational_solutions(sys)
-    _solution_cache[key] = result
-    return result
-
-
-def _rational_solutions(sys: LinearDiffSystem) -> RationalSolutionBasis:
     B = sys.matrix
     n = B.rows
 

@@ -413,12 +413,9 @@ def verify_reduction(sys: LinearDiffSystem, P: Mat,
     system (const(N) . phi = 0), which is exactly the property a reduction
     matrix must have.
     """
-    # P[A] = P^-1 (A P - P') as in gauge_transform, sharing P^-1 with N
-    dP = matrix_derivative(P)
-    P_inv = P.inverse()
-    gauged = LinearDiffSystem(P_inv * (sys.matrix * P - dP), sys.var)
+    gauged = gauge_transform(P, sys)
     cert = is_reduced(gauged, constructions)
-    N = dP * P_inv - sys.matrix
+    N = matrix_derivative(P) * P.inverse() - sys.matrix
     checks = []
     all_hold = True
     for e in constructions:

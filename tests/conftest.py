@@ -1,10 +1,12 @@
 """Shared helpers for the test suite."""
 
 import random
+from math import isqrt
 
 import pytest
 
-from redform.field import GaussRational, UniPoly, RatFunc, Ring, QI_RING, RF_RING
+from redform.field import (GaussRational, UniPoly, RatFunc, Ring, Q, QI_RING,
+                           RF_RING)
 from redform.linalg import Mat, rref, _clear_denominators
 from redform.factor import irreducible_factors
 from redform.diffsys import LinearDiffSystem
@@ -141,7 +143,37 @@ def split_dual_matrix(m: Mat, base: Ring):
 
 
 # ---------------------------------------------------------------------------
-# square detection in Q(i)(x)
+# square detection in Q(i) and Q(i)(x)
+
+
+def _rat_sqrt(q):
+    """Exact square root of a nonnegative rational, or None."""
+    if q < 0:
+        return None
+    n, d = int(q.numerator), int(q.denominator)
+    rn, rd = isqrt(n), isqrt(d)
+    if rn * rn == n and rd * rd == d:
+        return Q(rn, rd)
+    return None
+
+
+def gauss_sqrt(z: GaussRational):
+    """A square root of z in Q(i) if one exists, else None."""
+    if not z:
+        return GaussRational(0)
+    n = _rat_sqrt(z.norm())
+    if n is None:
+        return None
+    p2 = (z.re + n) / 2
+    p = _rat_sqrt(p2)
+    if p is None:
+        return None
+    if p == 0:
+        q = _rat_sqrt(-z.re)
+        if q is None:
+            return None
+        return GaussRational(0, q)
+    return GaussRational(p, z.im / (2 * p))
 
 
 def _poly_sqrt(p: UniPoly):
@@ -150,14 +182,14 @@ def _poly_sqrt(p: UniPoly):
         return UniPoly()
     if p.degree % 2:
         return None
-    lead = p.leading().sqrt()
+    lead = gauss_sqrt(p.leading())
     if lead is None:
         return None
     unit = (p.coeffs[0] if p.degree == 0 else None)
     factors = irreducible_factors(p)
     root = UniPoly.const(lead) if p.degree > 0 else None
     if p.degree == 0:
-        s = unit.sqrt()
+        s = gauss_sqrt(unit)
         return None if s is None else UniPoly.const(s)
     for f, mult in factors:
         if mult % 2:

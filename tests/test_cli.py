@@ -6,10 +6,14 @@ import pytest
 
 from redform.cli import main
 from redform.diffsys import LinearDiffSystem
+from redform.linalg import Mat
 
 
 DIHEDRAL = {"var": "x", "matrix": [["0", "1"], ["x", "1/(2*x)"]]}
 IDENTITY2 = {"var": "x", "matrix": [["1", "0"], ["0", "1"]]}
+IDENTITY3 = {"var": "x", "matrix": [["1", "0", "0"], ["0", "1", "0"],
+                                    ["0", "0", "1"]]}
+SINGULAR2 = {"var": "x", "matrix": [["x", "x"], ["x", "x"]]}
 
 
 @pytest.fixture
@@ -49,6 +53,47 @@ def test_gauge_singular_reports_determinant(sys_file, tmp_path, capsys):
     code, _, err = run(capsys, "gauge", "--p", str(p), sys_file)
     assert code == 2
     assert "singular" in err and "det" in err
+
+
+def test_verify_reduction_singular_reports_determinant(sys_file, tmp_path,
+                                                        capsys):
+    p = tmp_path / "sing.json"
+    p.write_text(json.dumps(SINGULAR2))
+    code, _, err = run(capsys, "verify-reduction", "--p", str(p), sys_file)
+    assert code == 2
+    assert "singular" in err and "det" in err
+
+
+def test_gauge_matrix_determinant_not_computed(sys_file, tmp_path, capsys,
+                                               monkeypatch):
+    ident, sing = tmp_path / "ident.json", tmp_path / "sing.json"
+    ident.write_text(json.dumps(IDENTITY2))
+    sing.write_text(json.dumps(SINGULAR2))
+    calls = []
+    det = Mat.det
+
+    def counted(self):
+        calls.append(self)
+        return det(self)
+    monkeypatch.setattr(Mat, "det", counted)
+    assert run(capsys, "gauge", "--p", str(ident), sys_file)[0] == 0
+    assert run(capsys, "gauge", "--p", str(sing), sys_file)[0] == 2
+    assert run(capsys, "verify-reduction", "--p", str(sing), sys_file)[0] == 2
+    assert calls == []
+    # the solver's own determinants are over Q(i)(m), never the gauge matrix
+    assert run(capsys, "verify-reduction", "--p", str(ident), sys_file)[0] == 0
+    P = LinearDiffSystem.from_json_dict(IDENTITY2).matrix
+    assert all(m != P for m in calls)
+
+
+@pytest.mark.parametrize("subcommand", ["gauge", "verify-reduction"])
+def test_mis_shaped_gauge_matrix_is_input_error(subcommand, sys_file, tmp_path,
+                                                capsys):
+    p = tmp_path / "ident3.json"
+    p.write_text(json.dumps(IDENTITY3))
+    code, out, err = run(capsys, subcommand, "--p", str(p), sys_file)
+    assert code == 2
+    assert out == "" and "3x3 matrix for a 2x2 system" in err
 
 
 def test_roundtrip_of_emitted_systems(sys_file, capsys):

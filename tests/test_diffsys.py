@@ -45,6 +45,32 @@ def test_gauge_singular_raises(dihedral):
         gauge_transform(P, dihedral)
 
 
+def test_gauge_matches_inverse_formula(dihedral, rng, monkeypatch):
+    pairs = [(dihedral, mat([["i/x", "1"], ["x+i", "1/(x-1)"]]))]
+    for _ in range(8):
+        pairs.append((LinearDiffSystem(random_poly_mat(rng, 2), "x"),
+                      random_invertible_poly_mat(rng, 2, 2)))
+    cases = [(A, P, P.inverse() * (A.matrix * P - matrix_derivative(P)))
+             for A, P in pairs]
+    calls = []
+    inverse = Mat.inverse
+
+    def counted(self):
+        calls.append(self)
+        return inverse(self)
+    monkeypatch.setattr(Mat, "inverse", counted)
+    for A, P, ref in cases:
+        assert gauge_transform(P, A).matrix == ref
+    assert calls == []
+
+
+def test_gauge_shape_mismatch_raises(dihedral):
+    with pytest.raises(ValueError):
+        gauge_transform(Mat.identity(RF_RING, 3), dihedral)
+    with pytest.raises(ValueError):
+        gauge_transform(mat([["1", "x", "0"], ["0", "1", "0"]]), dihedral)
+
+
 def test_gauge_inverse_undoes(dihedral):
     P = mat([["1", "1"], ["0", "x"]])
     gauged = gauge_transform(P, dihedral)

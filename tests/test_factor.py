@@ -1,5 +1,11 @@
 """Irreducible factorization over Q(i) and square detection."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import redform
 from redform.field import GaussRational, UniPoly, RatFunc, GR_I, UP_ONE
 from redform.factor import irreducible_factors
 from redform.parsing import parse_ratfunc
@@ -58,3 +64,18 @@ def test_is_square_ratfunc():
     assert not is_square_ratfunc(parse_ratfunc("x", "x"))
     assert not is_square_ratfunc(parse_ratfunc("2*x^2", "x"))
     assert is_square_ratfunc(parse_ratfunc("0", "x"))
+
+
+def test_sympy_loaded_on_first_factorization():
+    # importing the package, or gauging a system, must not load sympy
+    src = str(Path(redform.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, redform\n"
+            "from redform.cli import main\n"
+            "A = redform.LinearDiffSystem.from_strings([['1/x', 'x']] * 2)\n"
+            "P = A.matrix + redform.Mat.identity(redform.RF_RING, 2)\n"
+            "redform.gauge_transform(P, A)\n"
+            "assert 'sympy' not in sys.modules\n"
+            "redform.irreducible_factors(redform.UniPoly([1, 0, 1]))\n"
+            "assert 'sympy' in sys.modules\n")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -5,9 +5,11 @@ import random
 import pytest
 
 from redform.field import GaussRational, QI_RING, RF_RING, RatFunc, Q
-from redform.linalg import Mat, rref, nullspace, mat_vec
+from redform.linalg import (Mat, SingularMatrixError, rref, nullspace, solve,
+                            mat_vec)
 
-from conftest import random_const_mat, random_invertible_const_mat, mat
+from conftest import (random_const_mat, random_invertible_const_mat, mat,
+                      random_invertible_poly_mat, random_poly_mat)
 
 
 def test_identity_and_shape_checks():
@@ -59,6 +61,41 @@ def test_singular_inverse_raises():
         m.inverse()
     with pytest.raises(ValueError):
         mat([["x", "1/x"], ["x^2", "1"]]).inverse()
+
+
+def gauss_mat(rng, rows, cols):
+    return Mat(QI_RING, [[GaussRational(rng.randint(-3, 3), rng.randint(-3, 3))
+                          for _ in range(cols)] for _ in range(rows)])
+
+
+def test_solve_random():
+    rng = random.Random(17)
+    for _ in range(30):
+        n, k = rng.randint(1, 4), rng.randint(1, 3)
+        m = gauss_mat(rng, n, n)
+        while m.det() == QI_RING.zero:
+            m = gauss_mat(rng, n, n)
+        b = gauss_mat(rng, n, k)
+        assert m * solve(m, b) == b
+    for _ in range(5):
+        m = random_invertible_poly_mat(rng, 2)
+        b = random_poly_mat(rng, 2)
+        assert m * solve(m, b) == b
+
+
+def test_solve_singular_and_shape_errors():
+    rng = random.Random(19)
+    b = random_const_mat(rng, 2)
+    ones = Mat(QI_RING, [[QI_RING.one, QI_RING.one]] * 2)
+    with pytest.raises(SingularMatrixError):
+        solve(ones, b)
+    with pytest.raises(SingularMatrixError):
+        solve(mat([["x", "1/x"], ["x^2", "1"]]), mat([["1"], ["x"]]))
+    with pytest.raises(ValueError) as err:
+        solve(random_invertible_const_mat(rng, 3), b)
+    assert not isinstance(err.value, SingularMatrixError)
+    with pytest.raises(ValueError):
+        solve(Mat(QI_RING, [[QI_RING.one, QI_RING.one]]), b)
 
 
 def test_det_multiplicative():

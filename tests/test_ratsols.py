@@ -107,3 +107,13 @@ def test_log_derivative_rational():
     assert log_derivative_rational(rf("x")) is None
     u = log_derivative_rational(rf("-3/x"))
     assert u is not None and u.derivative() / u == rf("-3/x")
+
+
+def test_solution_memo_is_bounded():
+    rational_solutions.cache_clear()
+    for k in range(20):
+        rational_solutions(diag_power_system([k]))
+    info = rational_solutions.cache_info()
+    assert info.misses == 20 and info.currsize <= 16
+    rational_solutions(diag_power_system([19]))
+    assert rational_solutions.cache_info().hits == 1

@@ -305,6 +305,18 @@ def test_verify_reduction_inverts_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_verify_reduction_reuses_certificate_solve():
+    from redform.diffsys import substitute_power
+    from redform.ratsols import rational_solutions
+    sys = substitute_power(builtin_system("dihedral"), 2)
+    P, _ = builtin_reduction_matrices("dihedral")[0]
+    rational_solutions.cache_clear()
+    assert not is_reduced(sys, [Sym(2, Id())]).verdict
+    assert rational_solutions.cache_info().hits == 0
+    assert verify_reduction(sys, P, [Sym(2, Id())]).ok
+    assert rational_solutions.cache_info().hits == 1
+
+
 def test_verify_reduction_dihedral_t():
     from redform.diffsys import substitute_power
     sys_t = substitute_power(builtin_system("dihedral"), 2)
