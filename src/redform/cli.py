@@ -23,7 +23,8 @@ from .diffsys import (LinearDiffSystem, gauge_transform, series_solution,
                       substitute_power, pick_ordinary_point,
                       DEFAULT_SERIES_ORDER)
 from .constructions import (parse_construction, format_construction,
-                            apply_algebra, apply_group, ConstructionError)
+                            apply_algebra, apply_group, dimension,
+                            ConstructionError, _operands)
 from .ratsols import rational_solutions
 from .weinorman import decompose
 from .reduction import (is_reduced, build_system_S, verify_reduction,
@@ -31,6 +32,11 @@ from .reduction import (is_reduced, build_system_S, verify_reduction,
 from .gallery import EXAMPLE_NAMES, run_example, load_golden, _fmt_matrix
 
 __all__ = ["main"]
+
+# Largest construction dimension the CLI accepts.  Solving a constructed
+# system grows faster than the cube of its dimension: sym(64,id) of the 2x2
+# dihedral system (dimension 65) takes 161 s and 215 MB on 2 cores.
+MAX_CONSTRUCTION_DIM = 100
 
 
 class InputError(Exception):
@@ -69,15 +75,29 @@ def _load_matrix(path, sys: LinearDiffSystem) -> Mat:
     return sys_like.matrix
 
 
-def _parse_constructions(args, default=None):
+def _parse_constructions(args, n, default=None):
+    """The --construction expressions for an n x n system, none of them (nor
+    any of their parts) above MAX_CONSTRUCTION_DIM."""
     texts = args.construction or ([default] if default else None)
     if not texts:
         raise InputError("at least one --construction is required")
+
+    def check_size(e):
+        # parts first, so that dimension() only ever sees small operands
+        for part in _operands(e):
+            check_size(part)
+        d = dimension(e, n)
+        if d > MAX_CONSTRUCTION_DIM:
+            raise InputError(
+                f"construction {format_construction(e)} has dimension {d} on "
+                f"a {n}x{n} system, above the limit {MAX_CONSTRUCTION_DIM}")
+
     out = []
     for t in texts:
         try:
             out.append(parse_construction(t))
-        except (ConstructionError, ParseError, ValueError) as e:
+            check_size(out[-1])
+        except ValueError as e:  # ParseError, ConstructionError
             raise InputError(f"bad construction {t!r}: {e}") from None
     return out
 
@@ -124,7 +144,7 @@ def _cmd_wei_norman(args):
 
 def _cmd_construct(args):
     sys = _load_system(args.system)
-    exprs = _parse_constructions(args)
+    exprs = _parse_constructions(args, sys.size)
     entries = []
     for e in exprs:
         alg = apply_algebra(e, sys.matrix)
@@ -143,7 +163,7 @@ def _cmd_construct(args):
 
 def _cmd_ratsols(args):
     sys = _load_system(args.system)
-    exprs = _parse_constructions(args, default="id")
+    exprs = _parse_constructions(args, sys.size, default="id")
     out = []
     for e in exprs:
         B = apply_algebra(e, sys.matrix)
@@ -161,7 +181,7 @@ def _cmd_ratsols(args):
 
 def _cmd_check_reduced(args):
     sys = _load_system(args.system)
-    exprs = _parse_constructions(args, default="sym(2,id)")
+    exprs = _parse_constructions(args, sys.size, default="sym(2,id)")
     cert = is_reduced(sys, exprs)
     _emit(cert.to_json_dict(sys.var), args,
           f"verdict: {'reduced' if cert.verdict else 'not reduced'} "
@@ -212,7 +232,7 @@ def _cmd_subst(args):
 
 def _cmd_export_s(args):
     sys = _load_system(args.system)
-    exprs = _parse_constructions(args, default="sym(2,id)")
+    exprs = _parse_constructions(args, sys.size, default="sym(2,id)")
     z0 = _parse_point(args.z0, sys.var) if args.z0 else pick_ordinary_point(sys)
     try:
         invariants = _collect_invariants(sys, exprs, z0)
@@ -239,7 +259,7 @@ def _cmd_export_s(args):
 
 def _cmd_verify_reduction(args):
     sys = _load_system(args.system)
-    exprs = _parse_constructions(args, default="sym(2,id)")
+    exprs = _parse_constructions(args, sys.size, default="sym(2,id)")
     P = _load_matrix(args.p, sys)
     try:
         report = verify_reduction(sys, P, exprs)
@@ -362,10 +382,7 @@ def main(argv=None) -> int:
     except MathFailure as e:
         print(f"failure: {e}", file=_sys.stderr)
         return 1
-    except InputError as e:
-        print(f"error: {e}", file=_sys.stderr)
-        return 2
-    except (ParseError, ConstructionError) as e:
+    except (InputError, ParseError, ConstructionError) as e:
         print(f"error: {e}", file=_sys.stderr)
         return 2
     except Exception as e:

@@ -13,11 +13,13 @@ sum_i M[i][j] X_i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
+from itertools import combinations
 from math import comb
 
 from .linalg import Mat, _det_cofactor
+from .parsing import ParseError, _tokenize
 
 __all__ = [
     "Id", "Sym", "Ext", "Tensor", "Dual", "DSum",
@@ -121,7 +123,9 @@ def _mono_index(nvars, deg):
 
 @lru_cache(maxsize=None)
 def _wedge_basis(nvars: int, r: int):
-    from itertools import combinations
+    if r > nvars:
+        raise ConstructionError(
+            f"exterior power degree {r} exceeds operand dimension {nvars}")
     return tuple(combinations(range(nvars), r))
 
 
@@ -174,15 +178,9 @@ def _sym_algebra(m: int, N: Mat) -> Mat:
                 target[j] -= 1
                 target[i] += 1
                 row = index[tuple(target)]
-                out[row][col] = out[row][col] + c * _ring_int(ring, e)
+                # add e * c as a sum, which any coefficient ring has
+                out[row][col] = sum([c] * e, out[row][col])
     return Mat(ring, out)
-
-
-def _ring_int(ring, k):
-    acc = ring.zero
-    for _ in range(k):
-        acc = acc + ring.one
-    return acc
 
 
 def _ext_group(r: int, G: Mat) -> Mat:
@@ -222,14 +220,8 @@ def _ext_algebra(r: int, N: Mat) -> Mat:
 
 
 def _sort_sign(seq):
-    sign = 1
-    seq = list(seq)
-    for a in range(len(seq)):
-        for b in range(a + 1, len(seq)):
-            if seq[a] > seq[b]:
-                seq[a], seq[b] = seq[b], seq[a]
-                sign = -sign
-    return sign
+    """The sign of the permutation that sorts seq (distinct entries)."""
+    return -1 if sum(a > b for a, b in combinations(seq, 2)) % 2 else 1
 
 
 def _kron(A: Mat, B: Mat) -> Mat:
@@ -267,11 +259,7 @@ def apply_group(expr, M: Mat) -> Mat:
     if isinstance(expr, Sym):
         return _sym_group(expr.m, apply_group(expr.inner, M))
     if isinstance(expr, Ext):
-        G = apply_group(expr.inner, M)
-        if expr.r > G.rows:
-            raise ConstructionError(
-                f"exterior power degree {expr.r} exceeds operand dimension {G.rows}")
-        return _ext_group(expr.r, G)
+        return _ext_group(expr.r, apply_group(expr.inner, M))
     if isinstance(expr, Tensor):
         return _kron(apply_group(expr.left, M), apply_group(expr.right, M))
     if isinstance(expr, Dual):
@@ -298,11 +286,7 @@ def apply_algebra(expr, N: Mat) -> Mat:
     if isinstance(expr, Sym):
         return _sym_algebra(expr.m, apply_algebra(expr.inner, N))
     if isinstance(expr, Ext):
-        A = apply_algebra(expr.inner, N)
-        if expr.r > A.rows:
-            raise ConstructionError(
-                f"exterior power degree {expr.r} exceeds operand dimension {A.rows}")
-        return _ext_algebra(expr.r, A)
+        return _ext_algebra(expr.r, apply_algebra(expr.inner, N))
     if isinstance(expr, Tensor):
         L = apply_algebra(expr.left, N)
         R = apply_algebra(expr.right, N)
@@ -320,97 +304,66 @@ def apply_algebra(expr, N: Mat) -> Mat:
 # construction DSL: id, sym(m,e), ext(r,e), tensor(e1,e2), dual(e), dsum(e,n)
 
 
+# constructor name -> (node class, argument kinds in the dataclass's field order)
+_SYNTAX = {
+    "id": (Id, ()),
+    "sym": (Sym, ("int", "node")),
+    "ext": (Ext, ("int", "node")),
+    "tensor": (Tensor, ("node", "node")),
+    "dual": (Dual, ("node",)),
+    "dsum": (DSum, ("node", "int")),
+}
+_NAMES = {cls: name for name, (cls, _) in _SYNTAX.items()}
+_EXPECTED = {"name": "a constructor", "int": "an integer", "end": "end of input"}
+
+
 def parse_construction(text: str):
-    pos = 0
-    s = text
+    """The construction a DSL string names.
 
-    def skip():
-        nonlocal pos
-        while pos < len(s) and s[pos].isspace():
-            pos += 1
+    Syntax errors raise ParseError with a line and column; invalid nodes such
+    as sym(0,id) raise ConstructionError.
+    """
+    toks = iter(_tokenize(text))
 
-    def expect(ch):
-        nonlocal pos
-        skip()
-        if pos >= len(s) or s[pos] != ch:
-            raise ConstructionError(
-                f"expected {ch!r} at position {pos} in construction {text!r}")
-        pos += 1
-
-    def integer():
-        nonlocal pos
-        skip()
-        start = pos
-        while pos < len(s) and s[pos].isdigit():
-            pos += 1
-        if start == pos:
-            raise ConstructionError(
-                f"expected an integer at position {start} in construction {text!r}")
-        return int(s[start:pos])
+    def take(kind):
+        tok = next(toks)
+        if tok[0] != kind:
+            got = _EXPECTED["end"] if tok[0] == "end" else repr(tok[1])
+            raise ParseError(f"expected {_EXPECTED.get(kind, repr(kind))}, "
+                             f"got {got}", tok[2], tok[3])
+        return tok
 
     def node():
-        nonlocal pos
-        skip()
-        start = pos
-        while pos < len(s) and s[pos].isalpha():
-            pos += 1
-        word = s[start:pos]
-        if word == "id":
-            return Id()
-        if word == "sym":
-            expect("(")
-            m = integer()
-            expect(",")
-            inner = node()
-            expect(")")
-            return Sym(m, inner)
-        if word == "ext":
-            expect("(")
-            r = integer()
-            expect(",")
-            inner = node()
-            expect(")")
-            return Ext(r, inner)
-        if word == "tensor":
-            expect("(")
-            left = node()
-            expect(",")
-            right = node()
-            expect(")")
-            return Tensor(left, right)
-        if word == "dual":
-            expect("(")
-            inner = node()
-            expect(")")
-            return Dual(inner)
-        if word == "dsum":
-            expect("(")
-            inner = node()
-            expect(",")
-            copies = integer()
-            expect(")")
-            return DSum(inner, copies)
-        raise ConstructionError(
-            f"unknown constructor {word!r} at position {start} in {text!r}")
+        _, word, line, col = take("name")
+        if word not in _SYNTAX:
+            raise ParseError(f"unknown constructor {word!r}", line, col)
+        cls, kinds = _SYNTAX[word]
+        args = []
+        for k, kind in enumerate(kinds):
+            take("," if k else "(")
+            args.append(node() if kind == "node" else int(take("int")[1]))
+        if kinds:
+            take(")")
+        return cls(*args)
 
     result = node()
-    skip()
-    if pos != len(s):
-        raise ConstructionError(f"trailing input in construction {text!r}")
+    take("end")
     return result
 
 
+def _operands(expr):
+    """The construction nodes among the arguments of expr, in field order."""
+    kinds = _SYNTAX[_NAMES[type(expr)]][1]
+    return [getattr(expr, f.name) for kind, f in zip(kinds, fields(expr))
+            if kind == "node"]
+
+
 def format_construction(expr) -> str:
-    if isinstance(expr, Id):
-        return "id"
-    if isinstance(expr, Sym):
-        return f"sym({expr.m},{format_construction(expr.inner)})"
-    if isinstance(expr, Ext):
-        return f"ext({expr.r},{format_construction(expr.inner)})"
-    if isinstance(expr, Tensor):
-        return f"tensor({format_construction(expr.left)},{format_construction(expr.right)})"
-    if isinstance(expr, Dual):
-        return f"dual({format_construction(expr.inner)})"
-    if isinstance(expr, DSum):
-        return f"dsum({format_construction(expr.inner)},{expr.copies})"
-    raise ConstructionError(f"unknown construction node {expr!r}")
+    """The DSL string of a construction; it parses back to the same node."""
+    name = _NAMES.get(type(expr))
+    if name is None:
+        raise ConstructionError(f"unknown construction node {expr!r}")
+    args = [format_construction(getattr(expr, f.name)) if kind == "node"
+            else str(getattr(expr, f.name))
+            for kind, f in zip(_SYNTAX[name][1], fields(expr))]
+    return f"{name}({','.join(args)})" if args else name

@@ -73,20 +73,6 @@ class SeriesFundamentalMatrix:
     order: int
     coeffs: tuple  # constant matrices U_0..U_order
 
-    def as_polynomial_matrix(self, ring=RF_RING):
-        """The truncation as a matrix of polynomials in x."""
-        n = self.coeffs[0].rows
-        shift = RatFunc.x() - RatFunc.const(self.z0)
-        out = Mat.zeros(ring, n, n)
-        power = RatFunc.const(1)
-        for U in self.coeffs:
-            out = out + U.map(lambda c: RatFunc.const(c), ring).scale(power)
-            power = power * shift
-        return out
-
-    def eval_at_base(self):
-        return self.coeffs[0]
-
 
 def matrix_derivative(m: Mat) -> Mat:
     return m.map(lambda e: e.derivative())
@@ -135,12 +121,14 @@ def series_solution(sys: LinearDiffSystem, z0: GaussRational,
     if order < 0:
         raise ValueError(f"series order must be nonnegative, got {order}")
     n = sys.size
+    p = UniPoly([-z0, 1])
     try:
-        entry_series = [[e.series(z0, order) for e in row]
-                        for row in sys.matrix.entries]
+        digits = [[e.digits(p, order + 1) for e in row]
+                  for row in sys.matrix.entries]
     except ZeroDivisionError:
         raise ValueError(f"series expansion at a singular point {z0!r}") from None
-    A = [Mat(QI_RING, [[entry_series[i][j][k] for j in range(n)]
+    # a digit at x - z0 is a constant polynomial: a Taylor coefficient
+    A = [Mat(QI_RING, [[digits[i][j][k].eval(z0) for j in range(n)]
                        for i in range(n)]) for k in range(order + 1)]
     U = [Mat.identity(QI_RING, n)]
     for k in range(order):

@@ -8,10 +8,7 @@ denominator) so equality is structural.
 
 from __future__ import annotations
 
-try:
-    from gmpy2 import mpq as Q
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as Q
+from fractions import Fraction as Q
 
 __all__ = ["Q", "GaussRational", "UniPoly", "RatFunc", "Ring", "QI_RING", "RF_RING"]
 
@@ -103,9 +100,6 @@ class GaussRational:
     def __bool__(self):
         return self.re != 0 or self.im != 0
 
-    def conjugate(self):
-        return GaussRational(self.re, -self.im)
-
     def norm(self):
         return self.re * self.re + self.im * self.im
 
@@ -114,9 +108,6 @@ class GaussRational:
         if n == 0:
             raise ZeroDivisionError("division by zero in Q(i)")
         return GaussRational(self.re / n, -self.im / n)
-
-    def is_rational(self):
-        return self.im == 0
 
     def is_integer(self):
         return self.im == 0 and self.re.denominator == 1
@@ -132,7 +123,7 @@ class GaussRational:
 def _coerce(v):
     if isinstance(v, GaussRational):
         return v
-    if isinstance(v, int) or type(v) is type(Q(0)):
+    if isinstance(v, (int, Q)):
         return GaussRational(v)
     return NotImplemented
 
@@ -463,21 +454,17 @@ class RatFunc:
             raise ZeroDivisionError(f"evaluation at a pole ({z!r})")
         return self.num.eval(z) * dv.inverse()
 
-    def series(self, z0, order):
-        """Taylor coefficients c_0..c_order at z0; error at a pole of self."""
-        den = self.den.shift(z0)
-        if not den.coeffs[0]:
-            raise ZeroDivisionError(f"series expansion at a pole ({z0!r})")
-        num = self.num.shift(z0)
-        inv0 = den.coeffs[0].inverse()
+    def digits(self, p, count):
+        """The first `count` p-adic digits of self, polynomials of degree below
+        deg p; for p = x - z0 they are the Taylor coefficients at z0.  Raises
+        ZeroDivisionError when self has a pole at p."""
+        num, den = self.num, self.den
+        inv = den.inverse_mod(p)
         out = []
-        ncs = list(num.coeffs) + [GR_ZERO] * (order + 1)
-        dcs = den.coeffs
-        for k in range(order + 1):
-            acc = ncs[k]
-            for j in range(1, min(k, len(dcs) - 1) + 1):
-                acc = acc - dcs[j] * out[k - j]
-            out.append(acc * inv0)
+        for _ in range(count):
+            c = (num * inv) % p
+            out.append(c)
+            num = (num - c * den) // p
         return out
 
     def compose_power(self, k):

@@ -40,16 +40,6 @@ class Mat:
     def zeros(cls, ring, r, c):
         return cls(ring, [[ring.zero] * c for _ in range(r)])
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
-    def row(self, i):
-        return list(self.entries[i])
-
-    def col(self, j):
-        return [r[j] for r in self.entries]
-
     def is_square(self):
         return self.rows == self.cols
 
@@ -198,6 +188,7 @@ def rref(m: Mat):
             f = rv[col]
             if f == zero:
                 continue
+            # a cancelled entry is stored as the shared `zero`, not a new object
             if gauss:
                 # fused a - f*b over Q(i), avoiding per-op dispatch
                 fre, fim = f.re, f.im
@@ -205,20 +196,27 @@ def rref(m: Mat):
                 if fim:
                     for k in support:
                         a, b = rv[k], prow_vals[k]
-                        out = new(GaussRational)
-                        out.re = a.re - (fre * b.re - fim * b.im)
-                        out.im = a.im - (fre * b.im + fim * b.re)
-                        rv[k] = out
+                        re = a.re - (fre * b.re - fim * b.im)
+                        im = a.im - (fre * b.im + fim * b.re)
+                        if re or im:
+                            rv[k] = out = new(GaussRational)
+                            out.re, out.im = re, im
+                        else:
+                            rv[k] = zero
                 else:
                     for k in support:
                         a, b = rv[k], prow_vals[k]
-                        out = new(GaussRational)
-                        out.re = a.re - fre * b.re
-                        out.im = a.im - fre * b.im
-                        rv[k] = out
+                        re = a.re - fre * b.re
+                        im = a.im - fre * b.im
+                        if re or im:
+                            rv[k] = out = new(GaussRational)
+                            out.re, out.im = re, im
+                        else:
+                            rv[k] = zero
             else:
                 for k in support:
-                    rv[k] = rv[k] - f * prow_vals[k]
+                    v = rv[k] - f * prow_vals[k]
+                    rv[k] = v if v else zero
         pivots.append(col)
         prow += 1
     return Mat(ring, work), pivots

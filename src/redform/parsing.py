@@ -19,7 +19,7 @@ class ParseError(ValueError):
         self.col = col
 
 
-_OPS = set("+-*/^()")
+_OPS = set("+-*/^(),")
 
 
 def _tokenize(text):

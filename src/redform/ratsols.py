@@ -51,18 +51,6 @@ class RationalSolutionBasis:
 # relations for all m, so v is an integer root of det T_0.
 
 
-def _digits(f: RatFunc, p: UniPoly, count: int):
-    """The first `count` p-adic digits of f, which has no pole at p."""
-    num, den = f.num, f.den
-    inv = den.inverse_mod(p)
-    out = []
-    for _ in range(count):
-        c = (num * inv) % p
-        out.append(c)
-        num = (num - c * den) // p
-    return out
-
-
 def _lo_hi(c: UniPoly, p: UniPoly):
     """Lo(c) and Hi(c) by columns: entry [b][a] is the x^a coefficient of
     (c x^b) mod p, respectively of (c x^b) div p."""
@@ -82,7 +70,7 @@ def _local_recurrence(B: Mat, p: UniPoly, q: int, K: int):
     rows = [[[UP_ZERO] * (n * d) for _ in range(K + 1)] for _ in range(n * d)]
     for i, brow in enumerate(B.entries):
         for j, e in enumerate(brow):
-            lohi = [_lo_hi(c, p) for c in _digits(e * pq, p, K + 1)]
+            lohi = [_lo_hi(c, p) for c in (e * pq).digits(p, K + 1)]
             for k in range(K + 1):
                 for a in range(d):
                     for b in range(d):
@@ -257,9 +245,8 @@ def log_derivative_rational(f: RatFunc):
     for p, mult in irreducible_factors(f.den):
         if mult > 1:
             return None
-        # residue of f at p: (p f) / p' mod p
-        g = f * RatFunc(p)
-        res = (g.num * (g.den * p.derivative()).inverse_mod(p)) % p
+        # residue of f at p: the first p-adic digit of p f / p'
+        res = (f * RatFunc(p) / RatFunc(p.derivative())).digits(p, 1)[0]
         if res.degree > 0:
             return None
         c = res.coeffs[0] if res.coeffs else GR_ZERO

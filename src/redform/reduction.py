@@ -19,8 +19,8 @@ from .linalg import Mat, mat_vec
 from .diffsys import (LinearDiffSystem, gauge_transform, matrix_derivative,
                       pick_ordinary_point)
 from .constructions import (apply_algebra, apply_group, sym_monomials,
-                            format_construction, Sym, Ext, Tensor, Dual, DSum,
-                            ConstructionError)
+                            format_construction, Dual, ConstructionError,
+                            _operands)
 from .weinorman import decompose, WeiNormanDecomposition
 from .ratsols import rational_solutions, log_derivative_rational
 from .parsing import format_ratfunc, format_gauss
@@ -200,13 +200,7 @@ class PolySystemExport:
 
 
 def _contains_dual(expr) -> bool:
-    if isinstance(expr, Dual):
-        return True
-    if isinstance(expr, (Sym, Ext, DSum)):
-        return _contains_dual(expr.inner)
-    if isinstance(expr, Tensor):
-        return _contains_dual(expr.left) or _contains_dual(expr.right)
-    return False
+    return isinstance(expr, Dual) or any(map(_contains_dual, _operands(expr)))
 
 
 # ---------------------------------------------------------------------------
@@ -302,53 +296,46 @@ def quadform_from_invariant(phi, n: int) -> Mat:
 
 
 def gauss_diagonalize(S: Mat):
-    """Congruence diagonalization: returns (Q, D) with Q^T S Q = D, det Q != 0."""
+    """Congruence diagonalization: returns (Q, D) with Q^T S Q = D, det Q != 0.
+
+    Q is a product of elementary matrices.  The factors A[i][j] / A[i][i]
+    that clear row i all come from the same A = Q^T S Q, so one elementary
+    matrix clears the whole row.
+    """
     ring = S.ring
     n = S.rows
     if S != S.transpose():
         raise ValueError("matrix is not symmetric")
-    A = [list(r) for r in S.entries]
-    Qe = Mat.identity(ring, n).entries
+    Qm = Mat.identity(ring, n)
 
-    def col_op(j, i, f):
-        # col_j -= f col_i, then the mirrored row operation
-        for k in range(n):
-            A[k][j] = A[k][j] - f * A[k][i]
-        for k in range(n):
-            A[j][k] = A[j][k] - f * A[i][k]
-        for k in range(n):
-            Qe[k][j] = Qe[k][j] - f * Qe[k][i]
+    def congruence(changes):
+        # Q <- Q E, E the identity but for {(row, col): entry}; returns Q^T S Q
+        nonlocal Qm
+        Qm = Qm * Mat(ring, [[changes.get((r, c), ring.one if r == c
+                                           else ring.zero) for c in range(n)]
+                             for r in range(n)])
+        return (Qm.transpose() * S * Qm).entries
 
+    A = S.entries
     for i in range(n):
         if A[i][i] == ring.zero:
             j = next((j for j in range(i + 1, n) if A[j][j] != ring.zero), None)
             if j is not None:
-                for k in range(n):
-                    A[k][i], A[k][j] = A[k][j], A[k][i]
-                for k in range(n):
-                    A[i][k], A[j][k] = A[j][k], A[i][k]
-                for k in range(n):
-                    Qe[k][i], Qe[k][j] = Qe[k][j], Qe[k][i]
+                # swap basis vectors i and j
+                A = congruence({(i, i): ring.zero, (j, j): ring.zero,
+                                (i, j): ring.one, (j, i): ring.one})
             else:
                 j = next((j for j in range(i + 1, n)
                           if A[i][j] != ring.zero), None)
                 if j is None:
                     continue
                 # col_i += col_j (and mirrored), making A[i][i] = 2 A[i][j]
-                for k in range(n):
-                    A[k][i] = A[k][i] + A[k][j]
-                for k in range(n):
-                    A[i][k] = A[i][k] + A[j][k]
-                for k in range(n):
-                    Qe[k][i] = Qe[k][i] + Qe[k][j]
-        if A[i][i] == ring.zero:
-            continue
-        for j in range(i + 1, n):
-            if A[i][j] != ring.zero:
-                col_op(j, i, A[i][j] / A[i][i])
+                A = congruence({(j, i): ring.one})
+        A = congruence({(i, j): -(A[i][j] / A[i][i]) for j in range(i + 1, n)
+                        if A[i][j] != ring.zero})
     D = Mat(ring, [[A[i][j] if i == j else ring.zero for j in range(n)]
                    for i in range(n)])
-    return Mat(ring, Qe), D
+    return Qm, D
 
 
 def build_system_S(invariants, n: int, var: str = "x") -> PolySystemExport:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .field import RatFunc, QI_RING
+from .field import QI_RING
 from .linalg import Mat, rref, mat_vec, _clear_denominators
 from .diffsys import LinearDiffSystem
 
@@ -19,13 +19,6 @@ class WeiNormanDecomposition:
     @property
     def rank(self):
         return len(self.coeffs)
-
-    def reconstruct(self, ring) -> Mat:
-        n = self.mats[0].rows if self.mats else 0
-        acc = Mat.zeros(ring, n, n)
-        for f, M in zip(self.coeffs, self.mats):
-            acc = acc + M.map(lambda c: RatFunc.const(c) * f, ring)
-        return acc
 
 
 def decompose(sys: LinearDiffSystem) -> WeiNormanDecomposition:

@@ -80,6 +80,50 @@ def same_span(vecs_a, vecs_b):
 
 
 # ---------------------------------------------------------------------------
+# test-only views of library values
+
+
+def gauss_conjugate(z: GaussRational):
+    return GaussRational(z.re, -z.im)
+
+
+def gauss_is_rational(z: GaussRational):
+    return z.im == 0
+
+
+def taylor(f: RatFunc, z0, order):
+    """Taylor coefficients c_0..c_order of f at z0; ZeroDivisionError at a pole."""
+    return [d.eval(z0) for d in f.digits(UniPoly([-z0, 1]), order + 1)]
+
+
+def series_polynomial_matrix(ser, ring=RF_RING):
+    """A truncated series solution U_0 + U_1 (x-z0) + ... as a matrix of
+    polynomials in x."""
+    n = ser.coeffs[0].rows
+    shift = RatFunc.x() - RatFunc.const(ser.z0)
+    out = Mat.zeros(ring, n, n)
+    power = RatFunc.const(1)
+    for U in ser.coeffs:
+        out = out + U.map(lambda c: RatFunc.const(c), ring).scale(power)
+        power = power * shift
+    return out
+
+
+def series_at_base(ser):
+    """The value U_0 of a truncated series solution at its base point."""
+    return ser.coeffs[0]
+
+
+def wei_norman_reconstruct(deco, ring) -> Mat:
+    """sum f_i M_i of a Wei-Norman decomposition."""
+    n = deco.mats[0].rows if deco.mats else 0
+    acc = Mat.zeros(ring, n, n)
+    for f, M in zip(deco.coeffs, deco.mats):
+        acc = acc + M.map(lambda c: RatFunc.const(c) * f, ring)
+    return acc
+
+
+# ---------------------------------------------------------------------------
 # dual numbers a + eps b with eps^2 = 0, over an arbitrary base ring: the
 # functor-law tests check Const(I + eps N) = I + eps const(N) with them
 

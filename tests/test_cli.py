@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from redform import cli, reduction
 from redform.cli import main
 from redform.diffsys import LinearDiffSystem
 from redform.linalg import Mat
@@ -212,6 +213,25 @@ def test_bad_construction_dsl(sys_file, capsys):
     code, _, err = run(capsys, "ratsols", "--construction", "sym(0,id)",
                        sys_file)
     assert code == 2
+
+
+@pytest.mark.parametrize("construction", ["sym(12,sym(3,id))",
+                                          "sym(1000000000,sym(1000000000,id))"])
+@pytest.mark.parametrize("subcommand", ["ratsols", "check-reduced"])
+def test_oversized_construction_is_input_error(tmp_path, capsys, monkeypatch,
+                                               subcommand, construction):
+    # the size check must refuse before anything is constructed
+    def refuse(*args):
+        raise AssertionError("construction applied before the size check")
+
+    monkeypatch.setattr(cli, "apply_algebra", refuse)
+    monkeypatch.setattr(reduction, "apply_algebra", refuse)
+    p = tmp_path / "id3.json"
+    p.write_text(json.dumps(IDENTITY3))
+    code, _, err = run(capsys, subcommand, "--construction", construction,
+                       str(p))
+    assert code == 2
+    assert f"above the limit {cli.MAX_CONSTRUCTION_DIM}" in err
 
 
 def test_gaussian_z0(sys_file, tmp_path, capsys):

@@ -8,6 +8,7 @@ from redform.constructions import (Id, Sym, Ext, Tensor, Dual, DSum,
                                    dimension, sym_monomials, apply_group,
                                    apply_algebra, parse_construction,
                                    format_construction, ConstructionError)
+from redform.parsing import ParseError
 
 from conftest import (const_mat, random_const_mat, random_invertible_const_mat,
                       dual_matrix, split_dual_matrix)
@@ -121,3 +122,8 @@ def test_dsl_errors():
                 "sym(2,id", ""]:
         with pytest.raises((ConstructionError, ValueError)):
             parse_construction(bad)
+    for bad, col in [("sym(2,id))", 10), ("id(", 3), ("sym(2,,id)", 7),
+                     ("sym(2,\n  foo)", 3)]:
+        with pytest.raises(ParseError) as ei:
+            parse_construction(bad)
+        assert (ei.value.line, ei.value.col) == (bad.count("\n") + 1, col)

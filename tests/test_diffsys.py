@@ -10,7 +10,8 @@ from redform.diffsys import (LinearDiffSystem, gauge_transform,
                              matrix_derivative)
 from redform.parsing import format_poly
 
-from conftest import mat, random_invertible_poly_mat, random_poly_mat
+from conftest import (mat, random_invertible_poly_mat, random_poly_mat,
+                      series_at_base, series_polynomial_matrix, taylor)
 
 
 def test_json_roundtrip(dihedral):
@@ -100,14 +101,14 @@ def test_series_solves_system_mod_truncation(dihedral, rng):
     for sys in systems:
         z0 = pick_ordinary_point(sys)
         ser = series_solution(sys, z0, order)
-        assert ser.eval_at_base() == Mat.identity(QI_RING, sys.size)
-        U = ser.as_polynomial_matrix()
+        assert series_at_base(ser) == Mat.identity(QI_RING, sys.size)
+        U = series_polynomial_matrix(ser)
         resid = matrix_derivative(U) - sys.matrix * U
         # the residual must vanish to order (order - 1) at z0
         for row in resid.entries:
             for e in row:
                 if not e.is_zero():
-                    assert e.series(z0, order - 1) == [GaussRational(0)] * order
+                    assert taylor(e, z0, order - 1) == [GaussRational(0)] * order
 
 
 def test_series_at_singular_point_raises(dihedral):
@@ -134,7 +135,7 @@ def test_substitute_solution_correspondence(dihedral):
     z0 = GaussRational(1)
     order = 6
     ser = series_solution(dihedral, z0, order)
-    U = ser.as_polynomial_matrix()
+    U = series_polynomial_matrix(ser)
     sub = substitute_power(dihedral, 2)
     Ut = U.map(lambda e: e.compose_power(2))
     resid = matrix_derivative(Ut) - sub.matrix * Ut
@@ -142,4 +143,4 @@ def test_substitute_solution_correspondence(dihedral):
         for e in row:
             if not e.is_zero():
                 # x = t^2 maps z0=1 to t=1
-                assert e.series(z0, order - 1) == [GaussRational(0)] * order
+                assert taylor(e, z0, order - 1) == [GaussRational(0)] * order

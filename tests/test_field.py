@@ -7,7 +7,7 @@ import pytest
 from redform.field import (GaussRational, UniPoly, RatFunc, Q,
                            GR_ZERO, GR_ONE, GR_I, UP_ONE)
 
-from conftest import gauss_sqrt
+from conftest import gauss_conjugate, gauss_is_rational, gauss_sqrt, taylor
 
 
 class TestGaussRational:
@@ -41,7 +41,7 @@ class TestGaussRational:
     def test_norm_and_conjugate(self):
         a = GaussRational(3, 4)
         assert a.norm() == Q(25)
-        assert a * a.conjugate() == GaussRational(Q(25))
+        assert a * gauss_conjugate(a) == GaussRational(Q(25))
 
     def test_sqrt(self):
         assert gauss_sqrt(GaussRational(Q(9, 4))) == GaussRational(Q(3, 2))
@@ -52,7 +52,7 @@ class TestGaussRational:
     def test_integer_predicates(self):
         assert GaussRational(5).is_integer()
         assert not GaussRational(Q(1, 2)).is_integer()
-        assert not GaussRational(1, 1).is_rational()
+        assert not gauss_is_rational(GaussRational(1, 1))
 
 
 class TestUniPoly:
@@ -141,7 +141,19 @@ class TestRatFunc:
 
     def test_series_geometric(self):
         f = RatFunc(UP_ONE, UP_ONE - UniPoly.x())
-        assert f.series(GR_ZERO, 4) == [GR_ONE] * 5
+        assert taylor(f, GR_ZERO, 4) == [GR_ONE] * 5
+
+    def test_digits_expand_at_any_factor(self):
+        # f = sum c_k p^k + O(p^count), each digit of degree below deg p
+        p = UniPoly([1, 0, 1])
+        f = RatFunc(UniPoly([3, -1, 0, 2, 5]), UniPoly([2, 1]) ** 2)
+        digits = f.digits(p, 4)
+        assert all(c.degree < p.degree for c in digits)
+        rest = f - sum((RatFunc(c * p ** k) for k, c in enumerate(digits)),
+                       RatFunc.const(0))
+        assert rest.num.multiplicity(p) >= 4
+        with pytest.raises(ZeroDivisionError):
+            RatFunc(UP_ONE, p).digits(p, 1)
 
     def test_eval(self):
         f = RatFunc(UP_ONE, UniPoly.x())

@@ -36,6 +36,22 @@ def test_rref_reduced_echelon_invariants():
                     assert red.entries[r][pcol] == QI_RING.zero
 
 
+def test_rref_cancelled_entries_are_the_ring_zero():
+    rng = random.Random(11)
+    lifts = {QI_RING: lambda c: GaussRational(c, c % 2),
+             RF_RING: lambda c: RatFunc.const(c)}
+    for ring, lift in lifts.items():
+        mats = [[[1, 2, 3], [2, 4, 6], [1, 0, 1]]]
+        mats += [[[rng.randint(-2, 2) for _ in range(4)] for _ in range(4)]
+                 for _ in range(10)]
+        for rows in mats:
+            m = Mat(ring, [[lift(c) if c else ring.zero for c in row]
+                           for row in rows])
+            red, _ = rref(m)
+            assert all(e is ring.zero for row in red.entries for e in row
+                       if not e)
+
+
 def test_nullspace_vectors_are_solutions():
     rng = random.Random(5)
     for _ in range(60):

@@ -44,6 +44,13 @@ def test_error_positions():
         parse_ratfunc("x ** 2", "x")
 
 
+def test_comma_is_a_parse_error():
+    # the tokenizer knows ',' for the construction DSL; expressions reject it
+    with pytest.raises(ParseError) as ei:
+        parse_ratfunc("x,1", "x")
+    assert (ei.value.line, ei.value.col) == (1, 2)
+
+
 def test_division_by_zero_constant():
     with pytest.raises((ParseError, ZeroDivisionError)):
         parse_ratfunc("1/(x-x)", "x")
