@@ -18,7 +18,8 @@ import traceback
 
 from .field import GaussRational
 from .linalg import Mat, SingularMatrixError
-from .parsing import ParseError, parse_ratfunc, format_ratfunc, format_gauss
+from .parsing import (ParseError, parse_ratfunc, degree_bound, format_ratfunc,
+                      format_gauss)
 from .diffsys import (LinearDiffSystem, gauge_transform, series_solution,
                       substitute_power, pick_ordinary_point,
                       DEFAULT_SERIES_ORDER)
@@ -38,6 +39,21 @@ __all__ = ["main"]
 # dihedral system (dimension 65) takes 161 s and 215 MB on 2 cores.
 MAX_CONSTRUCTION_DIM = 100
 
+# Largest system the CLI accepts.  Gauging a system with degree-1 entries
+# takes 0.2 s at 4x4, 4.7 s at 8x8 and 157 s at 12x12 on 2 cores.
+MAX_SYSTEM_SIZE = 12
+
+# Largest degree of an entry's numerator or denominator, as written.
+# check-reduced of [[0, 1], [x^d, 1/(x^d-2)]] takes 0.8 s at d = 16, 4.2 s at
+# 32, 15.6 s at 48 and 50 s at 64 on 2 cores, growing about as d^3.3.  The
+# entry degrees also bound the degrees of the polynomials the factorizer sees,
+# and so the number of modular factors its subset recombination tries.
+MAX_ENTRY_DEGREE = 64
+
+# Largest `series --order`: the dihedral system's series takes 1.8 s to
+# order 200, 3.6 s to 300 and 176 s to 1000 on 2 cores.
+MAX_SERIES_ORDER = 300
+
 
 class InputError(Exception):
     pass
@@ -54,13 +70,32 @@ def _load_system(path) -> LinearDiffSystem:
     except OSError as e:
         raise InputError(f"cannot read {path}: {e}") from None
     try:
-        return LinearDiffSystem.from_json(text)
+        d = json.loads(text)
+        _check_system_size(d, path)
+        return LinearDiffSystem.from_json_dict(d)
     except json.JSONDecodeError as e:
         raise InputError(f"{path}: invalid JSON: {e}") from None
     except ParseError as e:
         raise InputError(f"{path}: {e}") from None
     except (KeyError, ValueError, TypeError) as e:
         raise InputError(f"{path}: malformed system file: {e}") from None
+
+
+def _check_system_size(d, path):
+    """Refuse a system above MAX_SYSTEM_SIZE or with an entry of degree above
+    MAX_ENTRY_DEGREE, before any entry is evaluated."""
+    rows = d["matrix"]
+    size = max([len(rows)] + [len(row) for row in rows])
+    if size > MAX_SYSTEM_SIZE:
+        raise InputError(f"{path}: a system of size {size} is above the "
+                         f"limit {MAX_SYSTEM_SIZE}")
+    for r, row in enumerate(rows):
+        for c, entry in enumerate(row):
+            deg = degree_bound(entry, d["var"])
+            if deg > MAX_ENTRY_DEGREE:
+                raise InputError(f"{path}: entry ({r + 1}, {c + 1}) has degree "
+                                 f"up to {deg}, above the limit "
+                                 f"{MAX_ENTRY_DEGREE}")
 
 
 def _load_matrix(path, sys: LinearDiffSystem) -> Mat:
@@ -203,6 +238,9 @@ def _cmd_gauge(args):
 
 
 def _cmd_series(args):
+    if args.order is not None and args.order > MAX_SERIES_ORDER:
+        raise InputError(f"--order {args.order} is above the limit "
+                         f"{MAX_SERIES_ORDER}")
     sys = _load_system(args.system)
     z0 = _parse_point(args.z0, sys.var) if args.z0 else pick_ordinary_point(sys)
     order = args.order if args.order is not None else DEFAULT_SERIES_ORDER
@@ -222,9 +260,14 @@ def _cmd_series(args):
 
 
 def _cmd_subst(args):
-    sys = _load_system(args.system)
     if args.subst is None or args.subst < 1:
         raise InputError("--subst requires a positive integer exponent")
+    # x = t^k gives every nonzero polynomial entry a degree of at least k - 1,
+    # so a k above MAX_ENTRY_DEGREE only makes systems no subcommand accepts
+    if args.subst > MAX_ENTRY_DEGREE:
+        raise InputError(f"--subst {args.subst} is above the limit "
+                         f"{MAX_ENTRY_DEGREE}")
+    sys = _load_system(args.system)
     _emit(substitute_power(sys, args.subst).to_json_dict(), args,
           f"substituted {sys.var} = t^{args.subst}")
     return 0

@@ -138,7 +138,7 @@ def _run_so3():
     basis, basis_strs = _basis_strings(sys, sym2, "x")
 
     S = quadform_from_invariant(list(basis.vectors[0]), sys.size)
-    Qm, D = gauss_diagonalize(S)
+    _, D = gauss_diagonalize(S)
     P, _ = builtin_reduction_matrices("so3")[0]
     report = verify_reduction(sys, P, [sym2])
     deco = decompose(report.gauged)

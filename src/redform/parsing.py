@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from .field import GaussRational, UniPoly, RatFunc, GR_ONE
 
-__all__ = ["ParseError", "parse_ratfunc", "format_ratfunc", "format_gauss"]
+__all__ = ["ParseError", "parse_ratfunc", "degree_bound", "format_ratfunc",
+           "format_gauss"]
 
 
 class ParseError(ValueError):
@@ -63,11 +64,56 @@ def _tokenize(text):
     return toks
 
 
+class _Degrees:
+    """Bounds on the numerator and denominator degrees of an expression as
+    written: the parser evaluates into this instead of RatFunc to size an
+    expression without doing its arithmetic."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den):
+        self.num = num
+        self.den = den
+
+    @classmethod
+    def const(cls, c):
+        return cls(0, 0)
+
+    @classmethod
+    def x(cls):
+        return cls(1, 0)
+
+    def is_zero(self):
+        return False
+
+    def __neg__(self):
+        return self
+
+    def __add__(self, other):
+        return _Degrees(max(self.num + other.den, other.num + self.den),
+                        self.den + other.den)
+
+    __sub__ = __add__
+
+    def __mul__(self, other):
+        return _Degrees(self.num + other.num, self.den + other.den)
+
+    def __truediv__(self, other):
+        return _Degrees(self.num + other.den, self.den + other.num)
+
+    def __pow__(self, n):
+        return _Degrees(self.num * n, self.den * n)
+
+
 class _Parser:
-    def __init__(self, text, var):
+    """Recursive descent over the tokens, evaluating into ``kind``: RatFunc,
+    or _Degrees for a degree bound."""
+
+    def __init__(self, text, var, kind=RatFunc):
         self.toks = _tokenize(text)
         self.pos = 0
         self.var = var
+        self.kind = kind
 
     def peek(self):
         return self.toks[self.pos]
@@ -127,12 +173,12 @@ class _Parser:
     def atom(self):
         kind, val, line, col = self.next()
         if kind == "int":
-            return RatFunc.const(int(val))
+            return self.kind.const(int(val))
         if kind == "name":
             if val == "i":
-                return RatFunc.const(GaussRational(0, 1))
+                return self.kind.const(GaussRational(0, 1))
             if val == self.var:
-                return RatFunc.x()
+                return self.kind.x()
             raise ParseError(f"unknown symbol {val!r} (variable is {self.var!r})",
                              line, col)
         if kind == "(":
@@ -149,6 +195,13 @@ class _Parser:
 def parse_ratfunc(text: str, var: str) -> RatFunc:
     """Parse an expression string into a rational function in the given variable."""
     return _Parser(text, var).parse()
+
+
+def degree_bound(text: str, var: str) -> int:
+    """Upper bound on the degrees of the numerator and denominator of the
+    expression as written (before cancellation), found without arithmetic."""
+    d = _Parser(text, var, _Degrees).parse()
+    return max(d.num, d.den)
 
 
 def format_gauss(c: GaussRational) -> str:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .field import (GaussRational, RatFunc, Ring, Q, GR_ZERO, RF_ZERO,
                     RF_ONE, RF_RING)
-from .linalg import Mat, mat_vec
+from .linalg import Mat, mat_vec, solve
 from .diffsys import (LinearDiffSystem, gauge_transform, matrix_derivative,
                       pick_ordinary_point)
 from .constructions import (apply_algebra, apply_group, sym_monomials,
@@ -398,11 +398,13 @@ def verify_reduction(sys: LinearDiffSystem, P: Mat,
     Besides running the constant-invariant criterion on P[A], this checks that
     N := P' P^{-1} - A annihilates every computed invariant of the original
     system (const(N) . phi = 0), which is exactly the property a reduction
-    matrix must have.
+    matrix must have.  P' P^{-1} is solved from X P = P', transposed, without
+    inverting P.
     """
     gauged = gauge_transform(P, sys)
     cert = is_reduced(gauged, constructions)
-    N = matrix_derivative(P) * P.inverse() - sys.matrix
+    N = solve(P.transpose(),
+              matrix_derivative(P).transpose()).transpose() - sys.matrix
     checks = []
     all_hold = True
     for e in constructions:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from redform import cli, reduction
+from redform import cli, diffsys, reduction
 from redform.cli import main
 from redform.diffsys import LinearDiffSystem
 from redform.linalg import Mat
@@ -232,6 +232,59 @@ def test_oversized_construction_is_input_error(tmp_path, capsys, monkeypatch,
                        str(p))
     assert code == 2
     assert f"above the limit {cli.MAX_CONSTRUCTION_DIM}" in err
+
+
+LIMIT = cli.MAX_SYSTEM_SIZE
+DEGREE = cli.MAX_ENTRY_DEGREE
+
+
+@pytest.mark.parametrize("matrix,limit", [
+    ([["0"] * (LIMIT + 1)] * (LIMIT + 1), LIMIT),
+    ([["0", "1"]] * 2 + [["0"] * (LIMIT + 1)], LIMIT),
+    ([["0", "1"], [f"x^{DEGREE + 1}", "0"]], DEGREE),
+    ([["0", "1"], [f"(x^{DEGREE // 4})^5", "0"]], DEGREE),
+    ([["0", "1"], [f"1/(x^{DEGREE}*x-1)", "0"]], DEGREE),
+    ([["0", "1"], ["x^1000000000000", "0"]], DEGREE)])
+@pytest.mark.parametrize("subcommand", ["wei-norman", "check-reduced"])
+def test_oversized_system_is_input_error(tmp_path, capsys, monkeypatch,
+                                         subcommand, matrix, limit):
+    # the limits must refuse before any entry is evaluated
+    def refuse(*args):
+        raise AssertionError("entry evaluated before the limit checks")
+
+    monkeypatch.setattr(diffsys, "parse_ratfunc", refuse)
+    p = tmp_path / "big.json"
+    p.write_text(json.dumps({"var": "x", "matrix": matrix}))
+    code, out, err = run(capsys, subcommand, str(p))
+    assert code == 2
+    assert out == "" and f"above the limit {limit}" in err
+
+
+def test_system_at_the_limits_is_accepted(tmp_path, capsys):
+    p = tmp_path / "edge.json"
+    zeros = [["0"] * LIMIT for _ in range(LIMIT)]
+    zeros[0][0] = f"(x^{DEGREE}-1)/(x^{DEGREE // 2}*x^{DEGREE // 2}+2)"
+    p.write_text(json.dumps({"var": "x", "matrix": zeros}))
+    code, _, _ = run(capsys, "wei-norman", str(p))
+    assert code == 0
+
+
+@pytest.mark.parametrize("argv,limit", [
+    (["series", "--order", str(cli.MAX_SERIES_ORDER + 1)], cli.MAX_SERIES_ORDER),
+    (["series", "--order", "1000000000000"], cli.MAX_SERIES_ORDER),
+    (["subst", "--subst", str(DEGREE + 1)], DEGREE),
+    (["subst", "--subst", "1000000000000"], DEGREE)])
+def test_oversized_order_or_exponent_is_input_error(sys_file, capsys,
+                                                    monkeypatch, argv, limit):
+    # refused before the system is even read
+    def refuse(*args):
+        raise AssertionError("work started before the limit check")
+
+    for name in ("_load_system", "series_solution", "substitute_power"):
+        monkeypatch.setattr(cli, name, refuse)
+    code, out, err = run(capsys, *argv, sys_file)
+    assert code == 2
+    assert out == "" and f"above the limit {limit}" in err
 
 
 def test_gaussian_z0(sys_file, tmp_path, capsys):
